@@ -140,6 +140,8 @@ class MetricChart:
         g = np.asarray(self.metric_at(u), dtype=float)
         if g.shape != (self.dim, self.dim):
             raise ValueError(f"metric callback returned shape {g.shape}")
+        if not np.all(np.isfinite(g)):
+            raise DomainError(f"metric is not finite at u={u}")
         if max_abs(g - g.T) > 1e-9 * max(1.0, max_abs(g)):
             raise ValueError(f"metric is not symmetric at u={u}")
         try:
@@ -268,6 +270,10 @@ def riemann_at(chart: MetricChart, u: np.ndarray) -> tuple[CurvatureTensor, Inne
         + np.einsum("sl,sit,tjk->ijkl", g, gamma, gamma, optimize=True)
         - np.einsum("sl,sjt,tik->ijkl", g, gamma, gamma, optimize=True)
     )
+    # Stencils call metric_at directly, so a non-finite value off the
+    # centre point first shows here.
+    if not np.all(np.isfinite(comps)):
+        raise DomainError(f"curvature is not finite at u={u}")
     metric = InnerProduct(g)
     return CurvatureTensor(_symmetrize_curvature(comps), metric), metric
 

@@ -39,12 +39,14 @@ from enum import Enum
 import numpy as np
 
 from .chart_geometry import MetricChart, riemann_at
-from .curvature_algebra import r0, a_phi, weyl_decompose
+from .curvature_algebra import CurvatureDecomposition, r0, a_phi, weyl_decompose
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_SAMPLES,
+    DEFAULT_SPEC_TOL_ALGEBRAIC,
     OssermanReport,
     SpectralProfile,
+    cluster_spectrum,
     osserman_test,
     reduced_jacobi,
     spectral_profile,
@@ -53,7 +55,6 @@ from .spectral import (
 from .tensor_core import (
     CurvatureTensor,
     HermitianStructure,
-    InnerProduct,
     max_abs,
     orthonormal_frame,
     transform_tensor,
@@ -62,6 +63,7 @@ from .tensor_core import (
 __all__ = [
     "VerdictKind",
     "Verdict",
+    "PointAnalysis",
     "ToleranceConfig",
     "ClassifyConfig",
     "ChartReport",
@@ -72,6 +74,8 @@ __all__ = [
     "recover_phi",
     "consensus_profile",
     "classify_point",
+    "orthonormal_decomposition",
+    "analyze_point",
     "classify_act",
     "parity_consistency",
     "classify_chart",
@@ -113,7 +117,9 @@ class ToleranceConfig:
 
     @classmethod
     def algebraic(cls) -> "ToleranceConfig":
-        return cls(spec_tol=1e-6, flat_tol=1e-9, eq2a_tol=1e-8, recon_tol=1e-8)
+        return cls(
+            spec_tol=DEFAULT_SPEC_TOL_ALGEBRAIC, flat_tol=1e-9, eq2a_tol=1e-8, recon_tol=1e-8
+        )
 
     @classmethod
     def chart(cls) -> "ToleranceConfig":
@@ -135,6 +141,9 @@ def check_eq2a(lambda0: float, lambda1: float, m: int, tol: float = 1e-8) -> Eq2
     return Eq2aCheck(passed=residual <= tol, residual=residual)
 
 
+_PIVOT_TIE = 1e-8
+
+
 def _require_euclidean(a: CurvatureTensor) -> None:
     if not a.metric.is_euclidean():
         raise ValueError("orthonormal frame required; transform the tensor first")
@@ -151,7 +160,8 @@ def recover_phi(
     canonical representative with a positive pivot entry is returned.
     Raises DegenerateInputError when every pivot component is below the
     degeneracy threshold and ReconstructionFailedError when the
-    validated residuals exceed recon_tol.
+    skew-adjointness residual of the raw Phi, or the validated residuals
+    of its skew part, exceed recon_tol.
     """
     _require_euclidean(b)
     m = b.dim
@@ -160,10 +170,15 @@ def recover_phi(
     c = b.components
     scale = max(1.0, b.max_abs())
 
-    # Pivot: diag[p, q] = B_pqqp = 3 Phi_pq^2, maximal over p != q.
+    # Pivot: diag[p, q] = B_pqqp = 3 Phi_pq^2, maximal over p != q.  The
+    # first entry in row-major order within a relative _PIVOT_TIE of the
+    # maximum is taken, so entries that tie in exact arithmetic (eight at
+    # m = 8 for the standard structure) pick the same pivot, and hence
+    # the same sign of Phi, whatever the roundoff upstream.
     diag = np.einsum("pqqp->pq", c).copy()
     np.fill_diagonal(diag, 0.0)
-    p, q = np.unravel_index(np.argmax(np.abs(diag)), diag.shape)
+    mag = np.abs(diag)
+    p, q = np.unravel_index(np.argmax(mag >= (1.0 - _PIVOT_TIE) * mag.max()), diag.shape)
     pivot = diag[p, q]
     if abs(pivot) <= degeneracy_tol * scale:
         raise DegenerateInputError(
@@ -186,12 +201,20 @@ def recover_phi(
     keep = np.arange(m) != q
     phi[:, keep] = cols[:, keep]
 
-    square = max_abs(phi @ phi + np.eye(m))
+    # Finite difference curvature leaves Phi skew only to about 1e-7, above
+    # the generator's own guard; the residual is judged against recon_tol
+    # and the skew part carried on.
     skew = max_abs(phi + phi.T)
-    recon = max_abs(a_phi(phi, b.metric).components - c)
-    if max(square, skew, recon / scale) > recon_tol:
+    if skew > recon_tol:
         raise ReconstructionFailedError(
-            f"validation residuals square={square:.3e} skew={skew:.3e} "
+            f"skew-adjointness residual {skew:.3e} exceeds {recon_tol:.1e}"
+        )
+    phi = 0.5 * (phi - phi.T)
+    square = max_abs(phi @ phi + np.eye(m))
+    recon = max_abs(a_phi(phi, b.metric).components - c)
+    if max(square, recon / scale) > recon_tol:
+        raise ReconstructionFailedError(
+            f"validation residuals square={square:.3e} "
             f"reconstruction={recon:.3e} exceed {recon_tol:.1e}"
         )
     return HermitianStructure(phi)
@@ -231,14 +254,16 @@ def consensus_profile(
     profiles = [
         spectral_profile(reduced_jacobi(w, x), cluster_tol=cluster_tol) for x in dirs
     ]
-    signatures = [pr.multiplicities for pr in profiles]
-    counts = Counter(signatures)
+    i = _modal_index(profiles)
+    return profiles[i], dirs[i]
+
+
+def _modal_index(profiles: list[SpectralProfile]) -> int:
+    """Index of the first profile whose multiplicity signature is the
+    most frequent one."""
+    counts = Counter(pr.multiplicities for pr in profiles)
     top = max(counts.values())
-    winners = {sig for sig, n in counts.items() if n == top}
-    for x, pr, sig in zip(dirs, profiles, signatures):
-        if sig in winners:
-            return pr, x
-    raise AssertionError("unreachable: at least one profile exists")
+    return next(i for i, pr in enumerate(profiles) if counts[pr.multiplicities] == top)
 
 
 def parity_consistency(m: int, profile: SpectralProfile, verdict: Verdict) -> list[str]:
@@ -279,6 +304,16 @@ def _classify_constant(
     mults = profile.multiplicities
     warnings: list[str] = []
 
+    def verdict(kind: VerdictKind, **structure) -> Verdict:
+        return Verdict(
+            kind=kind,
+            m=m,
+            profile=profile,
+            diagnostics=diagnostics,
+            warnings=tuple(warnings),
+            **structure,
+        )
+
     if len(clusters) == 1:
         gap = tol.cluster_tol * max(1.0, max(abs(v) for v in profile.values))
         if profile.spread > 0.5 * gap:
@@ -293,24 +328,12 @@ def _classify_constant(
         # reduced eigenvalue, hence by 3 * spread.  Anything larger is
         # inconsistent with a single-eigenvalue profile.
         if weyl_max <= max(tol.flat_tol, 3.0 * profile.spread):
-            return Verdict(
-                kind=VerdictKind.CONFORMALLY_FLAT,
-                m=m,
-                profile=profile,
-                diagnostics=diagnostics,
-                warnings=tuple(warnings),
-            )
+            return verdict(VerdictKind.CONFORMALLY_FLAT)
         warnings.append(
             f"single eigenvalue but Weyl norm {weyl_max:.3e} exceeds "
             f"{tol.flat_tol:.1e}; inconsistent with the trace identity"
         )
-        return Verdict(
-            kind=VerdictKind.OSSERMAN_OTHER,
-            m=m,
-            profile=profile,
-            diagnostics=diagnostics,
-            warnings=tuple(warnings),
-        )
+        return verdict(VerdictKind.OSSERMAN_OTHER)
 
     if sorted(mults) == sorted([1, m - 2]) and m % 2 == 0:
         single_idx = mults.index(1)
@@ -325,13 +348,7 @@ def _classify_constant(
                 f"eigenvalue relation residual {eq2a.residual:.3e} exceeds "
                 f"{tol.eq2a_tol:.1e}; not a conformal complex space form"
             )
-            return Verdict(
-                kind=VerdictKind.OSSERMAN_OTHER,
-                m=m,
-                profile=profile,
-                diagnostics=diagnostics,
-                warnings=tuple(warnings),
-            )
+            return verdict(VerdictKind.OSSERMAN_OTHER)
         candidate = CurvatureTensor(
             (w.components - lambda0 * r0(w.metric).components) / lambda1, w.metric
         )
@@ -343,13 +360,7 @@ def _classify_constant(
             )
         except (DegenerateInputError, ReconstructionFailedError) as exc:
             warnings.append(f"Hermitian structure recovery failed: {exc}")
-            return Verdict(
-                kind=VerdictKind.OSSERMAN_OTHER,
-                m=m,
-                profile=profile,
-                diagnostics=diagnostics,
-                warnings=tuple(warnings),
-            )
+            return verdict(VerdictKind.OSSERMAN_OTHER)
         model = lambda0 * r0(w.metric).components + lambda1 * a_phi(phi, w.metric).components
         diagnostics["reconstruction_residual"] = max_abs(w.components - model) / max(
             1.0, weyl_max
@@ -359,24 +370,11 @@ def _classify_constant(
                 f"below theorem threshold m>=8: the rigidity statement is not "
                 f"claimed at m={m}; structural verdict is numerical only"
             )
-        return Verdict(
-            kind=VerdictKind.CONFORMALLY_COMPLEX_SPACE_FORM,
-            m=m,
-            profile=profile,
-            lambda0=lambda0,
-            lambda1=lambda1,
-            phi=phi,
-            diagnostics=diagnostics,
-            warnings=tuple(warnings),
+        return verdict(
+            VerdictKind.CONFORMALLY_COMPLEX_SPACE_FORM, lambda0=lambda0, lambda1=lambda1, phi=phi
         )
 
-    return Verdict(
-        kind=VerdictKind.OSSERMAN_OTHER,
-        m=m,
-        profile=profile,
-        diagnostics=diagnostics,
-        warnings=tuple(warnings),
-    )
+    return verdict(VerdictKind.OSSERMAN_OTHER)
 
 
 def classify_point(
@@ -412,25 +410,56 @@ def classify_point(
     return verdict
 
 
+@dataclass(frozen=True)
+class PointAnalysis:
+    """Every stage of the pipeline at one point: the Weyl decomposition
+    in an orthonormal frame, the constancy test with its per-direction
+    spectra, the consensus profile and the verdict."""
+
+    decomposition: CurvatureDecomposition
+    osserman: OssermanReport
+    profile: SpectralProfile
+    verdict: Verdict
+
+
+def orthonormal_decomposition(a: CurvatureTensor) -> CurvatureDecomposition:
+    """Weyl decomposition of a tensor, moved to an orthonormal frame first
+    unless its metric is already the identity."""
+    if not a.metric.is_euclidean():
+        a = transform_tensor(a, orthonormal_frame(a.metric))
+    return weyl_decompose(a)
+
+
+def analyze_point(
+    a: CurvatureTensor,
+    tol: ToleranceConfig | None = None,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = 0,
+) -> PointAnalysis:
+    """Full pipeline for one curvature tensor, each direction solved once.
+
+    The consensus profile is the modal vote of consensus_profile taken
+    over the structured-direction rows of the constancy test's spectra.
+    """
+    tol = tol or ToleranceConfig.algebraic()
+    dec = orthonormal_decomposition(a)
+    w = dec.w
+    report = osserman_test(w, samples=samples, seed=seed, spec_tol=tol.spec_tol)
+    rows = report.spectra[: len(structured_directions(w.dim))]
+    profiles = [cluster_spectrum(row, tol.cluster_tol) for row in rows]
+    profile = profiles[_modal_index(profiles)]
+    verdict = classify_point(w, profile, report, w.dim, tol=tol)
+    return PointAnalysis(dec, report, profile, verdict)
+
+
 def classify_act(
     a: CurvatureTensor,
     tol: ToleranceConfig | None = None,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> Verdict:
-    """Full pipeline for a single algebraic curvature tensor.
-
-    Transforms to an orthonormal frame if needed, extracts the Weyl
-    part, and classifies its reduced Jacobi structure.
-    """
-    tol = tol or ToleranceConfig.algebraic()
-    if not a.metric.is_euclidean():
-        a = transform_tensor(a, orthonormal_frame(a.metric))
-    dec = weyl_decompose(a)
-    w = dec.w
-    profile, _ = consensus_profile(w, cluster_tol=tol.cluster_tol)
-    report = osserman_test(w, samples=samples, seed=seed, spec_tol=tol.spec_tol)
-    return classify_point(w, profile, report, a.dim, tol=tol)
+    """Verdict of analyze_point for a single algebraic curvature tensor."""
+    return analyze_point(a, tol, samples, seed).verdict
 
 
 @dataclass(frozen=True)
@@ -469,14 +498,10 @@ def classify_chart(
     """Classify the Weyl structure of a chart at each given point."""
     config = config or ClassifyConfig()
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    verdicts = []
-    for u in points:
-        r, g = riemann_at(chart, u)
-        a_on = transform_tensor(r, orthonormal_frame(g))
-        verdicts.append(
-            classify_act(a_on, tol=config.tol, samples=config.samples, seed=config.seed)
-        )
-    verdicts = tuple(verdicts)
+    verdicts = tuple(
+        analyze_point(riemann_at(chart, u)[0], config.tol, config.samples, config.seed).verdict
+        for u in points
+    )
     counts = Counter(v.kind.value for v in verdicts)
     signs = Counter(
         "positive" if v.lambda1 > 0 else "negative"

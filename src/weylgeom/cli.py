@@ -34,28 +34,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .tensor_core import (
-    CurvatureTensor,
-    max_abs,
-    orthonormal_frame,
-    transform_tensor,
-)
+from .tensor_core import CurvatureTensor, max_abs
 from .curvature_algebra import symmetry_residual, weyl_decompose
-from .spectral import (
-    DEFAULT_CLUSTER_TOL,
-    DEFAULT_SAMPLES,
-    reduced_jacobi,
-    trace_check,
-    unit_directions,
-    osserman_test,
-)
+from .spectral import DEFAULT_CLUSTER_TOL, DEFAULT_SAMPLES, trace_check
 from .chart_geometry import (
     DomainError,
     MetricChart,
@@ -67,7 +55,12 @@ from .chart_geometry import (
     riemann_at,
     second_bianchi_residual,
 )
-from .classifier import ToleranceConfig, classify_point, consensus_profile
+from .classifier import (
+    PointAnalysis,
+    ToleranceConfig,
+    analyze_point,
+    orthonormal_decomposition,
+)
 from .models import ModelSpec, build_model, polynomial_metric_chart, standard_phi
 
 __all__ = [
@@ -205,6 +198,13 @@ def _parse_metric(raw) -> dict:
     _reject_unknown(raw, _METRIC_KEYS, "metric")
     if "constant" not in raw:
         raise ConfigError("metric needs a constant coefficient matrix")
+    for key in sorted(raw):
+        try:
+            coefficients = np.asarray(raw[key], dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"metric {key} must be numeric: {exc}") from exc
+        if not np.all(np.isfinite(coefficients)):
+            raise ConfigError(f"metric {key} holds a non-finite coefficient")
     return dict(raw)
 
 
@@ -473,49 +473,18 @@ def _wrap_report(command: str, config: AnalysisConfig, points, records, **extra)
 # analyze
 
 
-def _verdict_dict(verdict) -> dict:
+def _analysis_record(analysis: PointAnalysis, metric: np.ndarray, bianchi: float | None) -> dict:
+    oss, verdict, profile = analysis.osserman, analysis.verdict, analysis.profile
     diag = verdict.diagnostics
     return {
-        "kind": verdict.kind.value,
-        "lambda0": verdict.lambda0,
-        "lambda1": verdict.lambda1,
-        "phi": None if verdict.phi is None else verdict.phi.matrix.tolist(),
-        "eq2a_residual": diag.get("eq2a_residual"),
-        "reconstruction_residual": diag.get("reconstruction_residual"),
-        "osserman_distance": diag["osserman_distance"],
-        "profile_spread": diag["profile_spread"],
-        "warnings": list(verdict.warnings),
-    }
-
-
-def _profile_dict(profile) -> dict:
-    return {
-        "values": list(profile.values),
-        "multiplicities": list(profile.multiplicities),
-        "spread": profile.spread,
-    }
-
-
-def _classified_weyl(w: CurvatureTensor, tol: ToleranceConfig, samples: int, seed: int):
-    profile, _direction = consensus_profile(w, tol.cluster_tol)
-    oss = osserman_test(w, samples=samples, seed=seed, spec_tol=tol.spec_tol)
-    verdict = classify_point(w, profile, oss, w.dim, tol)
-    return profile, oss, verdict
-
-
-def _analyze_chart_point(
-    chart: MetricChart, tol: ToleranceConfig, samples: int, seed: int, u: np.ndarray
-) -> dict:
-    r, g = riemann_at(chart, u)
-    a = transform_tensor(r, orthonormal_frame(g))
-    dec = weyl_decompose(a)
-    profile, oss, verdict = _classified_weyl(dec.w, tol, samples, seed)
-    return {
-        "point": [float(x) for x in u],
-        "metric": g.g.tolist(),
-        "scalar_curvature": dec.tau,
-        "weyl_max": verdict.diagnostics["weyl_max"],
-        "profile": _profile_dict(profile),
+        "metric": metric.tolist(),
+        "scalar_curvature": analysis.decomposition.tau,
+        "weyl_max": diag["weyl_max"],
+        "profile": {
+            "values": list(profile.values),
+            "multiplicities": list(profile.multiplicities),
+            "spread": profile.spread,
+        },
         "osserman": {
             "is_constant": oss.is_constant,
             "max_profile_distance": oss.max_profile_distance,
@@ -523,29 +492,18 @@ def _analyze_chart_point(
             "seed": oss.seed,
             "spec_tol": oss.spec_tol,
         },
-        "verdict": _verdict_dict(verdict),
-        "bianchi_residual": second_bianchi_residual(chart, u),
-    }
-
-
-def _analyze_act(act: CurvatureTensor, tol: ToleranceConfig, samples: int, seed: int) -> dict:
-    dec = weyl_decompose(act)
-    profile, oss, verdict = _classified_weyl(dec.w, tol, samples, seed)
-    return {
-        "point": None,
-        "metric": act.metric.g.tolist(),
-        "scalar_curvature": dec.tau,
-        "weyl_max": verdict.diagnostics["weyl_max"],
-        "profile": _profile_dict(profile),
-        "osserman": {
-            "is_constant": oss.is_constant,
-            "max_profile_distance": oss.max_profile_distance,
-            "samples": oss.samples,
-            "seed": oss.seed,
-            "spec_tol": oss.spec_tol,
+        "verdict": {
+            "kind": verdict.kind.value,
+            "lambda0": verdict.lambda0,
+            "lambda1": verdict.lambda1,
+            "phi": None if verdict.phi is None else verdict.phi.matrix.tolist(),
+            "eq2a_residual": diag.get("eq2a_residual"),
+            "reconstruction_residual": diag.get("reconstruction_residual"),
+            "osserman_distance": diag["osserman_distance"],
+            "profile_spread": diag["profile_spread"],
+            "warnings": list(verdict.warnings),
         },
-        "verdict": _verdict_dict(verdict),
-        "bianchi_residual": None,
+        "bianchi_residual": bianchi,
     }
 
 
@@ -572,18 +530,33 @@ def _map_ordered(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-def cmd_analyze(config: AnalysisConfig) -> tuple[dict, int]:
-    kind, target, name = resolve_model(config)
-    tol = tolerance_config(config, kind)
+def _records(config: AnalysisConfig, kind: str, target, name: str, at_act, at_point):
+    """One record for an algebraic model, or one per chart point in input
+    order, each tagged with its point; returns (points, records), with
+    points None for an algebraic model."""
     if kind == "algebraic":
         if config.points:
             raise ConfigError(f"model {name!r} is algebraic and takes no points")
-        records = [_analyze_act(target, tol, config.samples, config.seed)]
-        points = None
-    else:
-        points = resolve_points(target, config)
-        worker = partial(_analyze_chart_point, target, tol, config.samples, config.seed)
-        records = _map_ordered(worker, list(points))
+        return None, [{"point": None, **at_act(target)}]
+    points = resolve_points(target, config)
+    records = _map_ordered(at_point, list(points))
+    return points, [{"point": [float(x) for x in u], **rec} for u, rec in zip(points, records)]
+
+
+def cmd_analyze(config: AnalysisConfig) -> tuple[dict, int]:
+    kind, target, name = resolve_model(config)
+    analyze = partial(
+        analyze_point, tol=tolerance_config(config, kind), samples=config.samples, seed=config.seed
+    )
+
+    def at_point(u: np.ndarray) -> dict:
+        r, g = riemann_at(target, u)
+        return _analysis_record(analyze(r), g.g, second_bianchi_residual(target, u))
+
+    points, records = _records(
+        config, kind, target, name,
+        lambda act: _analysis_record(analyze(act), act.metric.g, None), at_point,
+    )
     report = _wrap_report("analyze", config, points, records, model_name=name)
     return report, EXIT_OK
 
@@ -633,7 +606,6 @@ def _verify_chart_point(
     chart: MetricChart,
     scaled: MetricChart,
     phi_mat: np.ndarray | None,
-    tol: ToleranceConfig,
     samples: int,
     seed: int,
     debug_corrupt: bool,
@@ -645,9 +617,7 @@ def _verify_chart_point(
     bianchi = second_bianchi_residual(chart, u)
     checks.append(_check("second_bianchi", bianchi, BIANCHI_TIER[mode]))
 
-    r, g = riemann_at(chart, u)
-    a = transform_tensor(r, orthonormal_frame(g))
-    dec = weyl_decompose(a)
+    dec = orthonormal_decomposition(riemann_at(chart, u)[0])
     checks.append(
         _check("trace_free_jacobi", trace_check(dec.w, samples, seed), TRACE_TIER["chart"])
     )
@@ -669,14 +639,14 @@ def _verify_chart_point(
         corrupted = cyclic_bianchi_residual(nabla_r)
         checks.append(_check("second_bianchi_corrupted", corrupted, BIANCHI_TIER[mode]))
 
-    return {"point": [float(x) for x in u], "checks": checks}
+    return {"checks": checks}
 
 
 def _verify_act(act: CurvatureTensor, samples: int, seed: int, debug_corrupt: bool) -> dict:
     checks = [
         _check("curvature_symmetries", symmetry_residual(act), SYMMETRY_TIER * max(1.0, act.max_abs()))
     ]
-    dec = weyl_decompose(act)
+    dec = orthonormal_decomposition(act)
     checks.append(
         _check(
             "decomposition_reconstruction",
@@ -694,34 +664,22 @@ def _verify_act(act: CurvatureTensor, samples: int, seed: int, debug_corrupt: bo
         checks.append(
             _check("curvature_symmetries_corrupted", residual, SYMMETRY_TIER * max(1.0, act.max_abs()))
         )
-    return {"point": None, "checks": checks}
+    return {"checks": checks}
 
 
 def cmd_verify(config: AnalysisConfig, debug_corrupt: bool = False) -> tuple[dict, int]:
     kind, target, name = resolve_model(config)
-    tol = tolerance_config(config, kind)
-    if kind == "algebraic":
-        if config.points:
-            raise ConfigError(f"model {name!r} is algebraic and takes no points")
-        records = [_verify_act(target, config.samples, config.seed, debug_corrupt)]
-        points = None
-    else:
-        points = resolve_points(target, config)
-        scaled = conformal_rescale(target, _alpha, _d_alpha, _d2_alpha)
-        phi_mat = None
-        if config.model is not None and config.model.name in _COMPLEX_MODELS:
-            phi_mat = standard_phi(target.dim).matrix
-        worker = partial(
-            _verify_chart_point,
-            target,
-            scaled,
-            phi_mat,
-            tol,
-            config.samples,
-            config.seed,
-            debug_corrupt,
-        )
-        records = _map_ordered(worker, list(points))
+    phi_mat = None
+    if config.model is not None and config.model.name in _COMPLEX_MODELS:
+        phi_mat = standard_phi(target.dim).matrix
+    scaled = conformal_rescale(target, _alpha, _d_alpha, _d2_alpha) if kind == "chart" else None
+    points, records = _records(
+        config, kind, target, name,
+        lambda act: _verify_act(act, config.samples, config.seed, debug_corrupt),
+        lambda u: _verify_chart_point(
+            target, scaled, phi_mat, config.samples, config.seed, debug_corrupt, u
+        ),
+    )
     failed = sum(1 for rec in records for c in rec["checks"] if not c["passed"])
     total = sum(len(rec["checks"]) for rec in records)
     report = _wrap_report(
@@ -739,32 +697,18 @@ def cmd_verify(config: AnalysisConfig, debug_corrupt: bool = False) -> tuple[dic
 # spectrum
 
 
-def _spectrum_rows(w: CurvatureTensor, samples: int, seed: int) -> list[list[float]]:
-    dirs = unit_directions(w.dim, samples, seed)
-    return [sorted(np.linalg.eigvalsh(reduced_jacobi(w, x)).tolist()) for x in dirs]
-
-
-def _spectrum_chart_point(
-    chart: MetricChart, samples: int, seed: int, u: np.ndarray
-) -> dict:
-    r, g = riemann_at(chart, u)
-    a = transform_tensor(r, orthonormal_frame(g))
-    dec = weyl_decompose(a)
-    return {"point": [float(x) for x in u], "spectra": _spectrum_rows(dec.w, samples, seed)}
-
-
 def cmd_spectrum(config: AnalysisConfig) -> tuple[dict, int]:
     kind, target, name = resolve_model(config)
-    if kind == "algebraic":
-        if config.points:
-            raise ConfigError(f"model {name!r} is algebraic and takes no points")
-        dec = weyl_decompose(target)
-        records = [{"point": None, "spectra": _spectrum_rows(dec.w, config.samples, config.seed)}]
-        points = None
-    else:
-        points = resolve_points(target, config)
-        worker = partial(_spectrum_chart_point, target, config.samples, config.seed)
-        records = _map_ordered(worker, list(points))
+    analyze = partial(
+        analyze_point, tol=tolerance_config(config, kind), samples=config.samples, seed=config.seed
+    )
+
+    def spectra(r: CurvatureTensor) -> dict:
+        return {"spectra": analyze(r).osserman.spectra.tolist()}
+
+    points, records = _records(
+        config, kind, target, name, spectra, lambda u: spectra(riemann_at(target, u)[0])
+    )
     report = _wrap_report("spectrum", config, points, records, model_name=name)
     return report, EXIT_OK
 

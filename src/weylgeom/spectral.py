@@ -27,19 +27,18 @@ __all__ = [
     "complement_basis",
     "reduced_jacobi",
     "spectral_profile",
+    "cluster_spectrum",
     "unit_directions",
     "structured_directions",
     "trace_check",
     "osserman_test",
     "DEFAULT_SAMPLES",
     "DEFAULT_SPEC_TOL_ALGEBRAIC",
-    "DEFAULT_SPEC_TOL_CHART",
     "DEFAULT_CLUSTER_TOL",
 ]
 
 DEFAULT_SAMPLES = 64
 DEFAULT_SPEC_TOL_ALGEBRAIC = 1e-6
-DEFAULT_SPEC_TOL_CHART = 1e-4
 DEFAULT_CLUSTER_TOL = 1e-3
 
 _UNIT_TOL = 1e-8
@@ -135,16 +134,21 @@ def reduced_jacobi(a: CurvatureTensor, x: np.ndarray) -> np.ndarray:
     return p.T @ j @ p
 
 
-def spectral_profile(mat: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralProfile:
-    """Cluster the spectrum of a self adjoint matrix by gap threshold.
-
-    Consecutive sorted eigenvalues merge when their gap is at most
-    cluster_tol * max(1, ||M||); cluster values are member means.
-    """
+def _self_adjoint_eigvalsh(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a matrix required to be self adjoint."""
     mat = np.asarray(mat, dtype=float)
     if max_abs(mat - mat.T) > _UNIT_TOL * max(1.0, max_abs(mat)):
-        raise ValueError("spectral profile needs a self adjoint matrix")
-    eig = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+        raise ValueError("eigenvalue solve needs a self adjoint matrix")
+    return np.linalg.eigvalsh(0.5 * (mat + mat.T))
+
+
+def cluster_spectrum(eig: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralProfile:
+    """Cluster an ascending eigenvalue row by gap threshold.
+
+    Consecutive eigenvalues merge when their gap is at most
+    cluster_tol * max(1, max |eig|); cluster values are member means.
+    """
+    eig = np.asarray(eig, dtype=float)
     scale = max(1.0, float(np.max(np.abs(eig))) if eig.size else 1.0)
     threshold = cluster_tol * scale
     clusters: list[tuple[float, int]] = []
@@ -157,6 +161,11 @@ def spectral_profile(mat: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) 
             spread = max(spread, float(members[-1] - members[0]))
             start = i
     return SpectralProfile(tuple(clusters), spread, dim=len(eig) + 1)
+
+
+def spectral_profile(mat: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralProfile:
+    """Clustered spectrum of a self adjoint matrix (see cluster_spectrum)."""
+    return cluster_spectrum(_self_adjoint_eigvalsh(mat), cluster_tol)
 
 
 def structured_directions(m: int) -> np.ndarray:
@@ -222,7 +231,9 @@ def osserman_test(
     Samples the structured direction set plus ``samples`` seeded draws,
     sorts each reduced spectrum, and reports the max pairwise L-infinity
     distance.  Full sorted spectra are compared rather than clusters, so
-    cluster boundary flips cannot mask genuine variation.
+    cluster boundary flips cannot mask genuine variation.  The spectra
+    rows follow unit_directions, structured directions first; a reduced
+    operator that is not self adjoint raises ValueError.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -230,7 +241,7 @@ def osserman_test(
     dirs = unit_directions(a.dim, samples, seed)
     spectra = np.empty((dirs.shape[0], a.dim - 1))
     for row, x in enumerate(dirs):
-        spectra[row] = np.linalg.eigvalsh(reduced_jacobi(a, x))
+        spectra[row] = _self_adjoint_eigvalsh(reduced_jacobi(a, x))
     # Max pairwise L-inf distance of sorted rows equals the widest
     # per-coordinate range.
     distance = float(np.max(spectra.max(axis=0) - spectra.min(axis=0)))

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TangentVector",
     "InnerProduct",
     "SelfAdjointEndo",
     "HermitianStructure",
@@ -34,10 +33,6 @@ __all__ = [
     "hermitian_residuals",
     "max_abs",
 ]
-
-# Tangent vectors carry no invariants of their own; unit length is an
-# operation-level precondition where it matters.
-TangentVector = np.ndarray
 
 _SYM_TOL = 1e-10
 
@@ -64,8 +59,8 @@ class InnerProduct:
     Parameters
     ----------
     g : (m, m) array
-        Symmetric positive definite matrix.  Symmetry is checked to a
-        fixed tolerance and positivity via a Cholesky attempt.
+        Finite, symmetric positive definite matrix.  Symmetry is checked
+        to a fixed tolerance and positivity via a Cholesky attempt.
     """
 
     g: np.ndarray
@@ -76,6 +71,8 @@ class InnerProduct:
             raise ValueError(f"inner product must be a square matrix, got shape {g.shape}")
         if g.shape[0] < 2:
             raise ValueError(f"dimension must be at least 2, got {g.shape[0]}")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("inner product matrix has non-finite entries")
         if max_abs(g - g.T) > _SYM_TOL * max(1.0, max_abs(g)):
             raise ValueError("inner product matrix is not symmetric")
         g = 0.5 * (g + g.T)

@@ -91,6 +91,27 @@ class TestMetricChart:
         with pytest.raises(DomainError):
             bad.metric(np.zeros(2))
 
+    def test_metric_flags_non_finite_as_domain_error(self):
+        bad = MetricChart(
+            dim=2,
+            metric_at=lambda u: np.full((2, 2), np.nan),
+            domain=Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
+        )
+        with pytest.raises(DomainError, match="not finite"):
+            bad.metric(np.zeros(2))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_curvature_flags_non_finite_stencil_values(self):
+        # A finite metric whose difference stencils overflow.
+        chart = MetricChart(
+            dim=3,
+            metric_at=lambda u: 1e308 * np.eye(3),
+            domain=Box(-np.ones(3), np.ones(3)),
+        )
+        chart.metric(np.zeros(3))
+        with pytest.raises(DomainError, match="curvature is not finite"):
+            riemann_at(chart, np.zeros(3))
+
     def test_analytic_needs_both_derivative_callbacks(self):
         chart = sphere_chart(3, 1.0)
         assert chart.analytic

@@ -4,6 +4,8 @@ The classifier consumes Weyl parts only; every entry point is expected
 to absorb frame changes and overall metric scale on its own.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,6 +17,7 @@ from weylgeom.classifier import (
     ReconstructionFailedError,
     ToleranceConfig,
     VerdictKind,
+    analyze_point,
     check_eq2a,
     classify_act,
     classify_chart,
@@ -101,6 +104,25 @@ class TestRecoverPhi:
                 rec = recover_phi(a_phi(phi, g))
                 assert structure_distance(rec.matrix, phi) <= 1e-10
 
+    def test_canonical_sign_survives_roundoff(self):
+        # Eight pivot candidates equal 3 exactly; noise of a few ulps must
+        # not move the pivot to one that carries the opposite sign.
+        g = InnerProduct.euclidean(8)
+        clean = a_phi(standard_phi(8), g)
+        rng = np.random.default_rng(2)
+        noise = rng.uniform(-1e-15, 1e-15, clean.components.shape)
+        noisy = recover_phi(CurvatureTensor(clean.components + noise, g))
+        assert max_abs(noisy.matrix - recover_phi(clean).matrix) <= 1e-12
+
+    def test_skew_residual_above_tolerance(self):
+        # A candidate 1e-6 off the a_phi form leaves Phi about 5e-7 from
+        # skew; the failure is the typed one, not the generator's guard.
+        g = InnerProduct.euclidean(8)
+        noisy = a_phi(standard_phi(8), g).components + 1e-6 * random_act(3, 8).components
+        with pytest.raises(ReconstructionFailedError, match="skew"):
+            recover_phi(CurvatureTensor(noisy, g), recon_tol=1e-8)
+        recover_phi(CurvatureTensor(noisy, g), recon_tol=1e-4)
+
     def test_recovered_structure_validates(self):
         g = InnerProduct.euclidean(8)
         rec = recover_phi(a_phi(standard_phi(8), g))
@@ -143,6 +165,23 @@ class TestConsensusProfile:
         assert_allclose(profile.values[1], 18.0 / 7.0, atol=1e-12)
 
 
+class TestAnalyzePoint:
+    def test_spectra_are_the_constancy_test(self):
+        a = complex_space_form_act(1.0, -1.0, standard_phi(6))
+        analysis = analyze_point(a, samples=8, seed=3)
+        report = osserman_test(weyl_decompose(a).w, samples=8, seed=3)
+        assert np.array_equal(analysis.osserman.spectra, report.spectra)
+        assert analysis.osserman.max_profile_distance == report.max_profile_distance
+
+    def test_moves_to_orthonormal_frame(self):
+        a = complex_space_form_act(1.0, 1.0, standard_phi(8))
+        rng = np.random.default_rng(4)
+        b = rng.standard_normal((8, 8)) + 3.0 * np.eye(8)
+        analysis = analyze_point(transform_tensor(a, b))
+        assert analysis.decomposition.w.metric.is_euclidean()
+        assert analysis.verdict.kind is VerdictKind.CONFORMALLY_COMPLEX_SPACE_FORM
+
+
 class TestClassifyAct:
     def test_space_forms_are_conformally_flat(self):
         for lam in (1.0, -2.0):
@@ -182,6 +221,14 @@ class TestClassifyAct:
         v = classify_act(transform_tensor(a, b))
         assert v.kind is VerdictKind.CONFORMALLY_COMPLEX_SPACE_FORM
         assert_allclose(v.lambda1, 1.0, rtol=1e-8)
+
+    def test_skew_residual_above_recon_tol_is_other(self):
+        tol = ToleranceConfig(spec_tol=1e-4, flat_tol=1e-9, eq2a_tol=1e-4, recon_tol=1e-8)
+        base = complex_space_form_act(1.0, 1.0, standard_phi(8))
+        a = CurvatureTensor(base.components + 1e-6 * random_act(3, 8).components, base.metric)
+        v = classify_act(a, tol)
+        assert v.kind is VerdictKind.OSSERMAN_OTHER
+        assert any("skew-adjointness residual" in w for w in v.warnings)
 
     def test_metric_scale_covariance(self):
         # g -> c g with A -> c A divides reduced eigenvalues by c.
@@ -253,6 +300,23 @@ class TestClassifyChart:
         assert rep.summary["kinds"] == {"ConformallyComplexSpaceForm": 3}
         assert rep.summary["lambda1_signs"] == {"positive": 3}
         assert rep.summary["phi_pair_consistency"] <= 1e-10
+
+    @pytest.mark.parametrize(
+        "builder, n, sign",
+        [
+            (fubini_study_chart, 2, "positive"),
+            (fubini_study_chart, 3, "positive"),
+            (fubini_study_chart, 4, "positive"),
+            (complex_hyperbolic_chart, 2, "negative"),
+        ],
+    )
+    def test_finite_difference_projective_family(self, builder, n, sign):
+        chart = replace(builder(n), d_metric=None, d2_metric=None)
+        rep = classify_chart(chart, default_probe_points(chart, count=3))
+        assert rep.summary["kinds"] == {"ConformallyComplexSpaceForm": 3}
+        assert rep.summary["lambda1_signs"] == {sign: 3}
+        for v in rep.verdicts:
+            assert v.diagnostics["reconstruction_residual"] <= 1e-6
 
     def test_hyperbolic_family_structure_sign(self):
         ch = complex_hyperbolic_chart(2)

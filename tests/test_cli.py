@@ -309,6 +309,25 @@ class TestFailureMapping:
         assert code == 4
         assert "synthetic failure" in err
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_metric_coefficient_is_config_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            '{"metric": {"constant": [[%s, 0, 0], [0, 1, 0], [0, 0, 1]]}}' % value
+        )
+        code, _, err = run(capsys, "analyze", str(cfg))
+        assert code == 2
+        assert "non-finite" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_metric_is_domain_error(self, tmp_path, capsys):
+        # Finite coefficients whose difference stencils overflow.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"metric": {"constant": (1e308 * np.eye(3)).tolist()}}))
+        code, _, err = run(capsys, "analyze", str(cfg))
+        assert code == 3
+        assert "not finite" in err
+
     def test_formatter_rejects_non_finite(self):
         with pytest.raises(cli.NumericalError):
             cli._fmt(float("nan"))

@@ -43,6 +43,11 @@ class TestInnerProduct:
         with pytest.raises(ValueError):
             InnerProduct(np.ones((2, 3)))
 
+    def test_rejects_non_finite(self):
+        for bad in (np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0])):
+            with pytest.raises(ValueError, match="non-finite"):
+                InnerProduct(bad)
+
     def test_rejects_dimension_one(self):
         with pytest.raises(ValueError):
             InnerProduct(np.array([[2.0]]))
