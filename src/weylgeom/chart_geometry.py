@@ -226,7 +226,7 @@ def _christoffel_d1(chart: MetricChart, u: np.ndarray) -> np.ndarray:
         dg = _metric_d1(chart, u)
         d2g = _metric_d2(chart, u)
         ginv = np.linalg.inv(g)
-        dginv = -np.einsum("kp,apq,ql->akl", ginv, dg, ginv)
+        dginv = -(ginv @ dg @ ginv)
         s = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
         # d_a S_ijl from the symmetrized second derivatives.
         ds = (
@@ -234,8 +234,10 @@ def _christoffel_d1(chart: MetricChart, u: np.ndarray) -> np.ndarray:
             + np.transpose(d2g, (0, 2, 1, 3))
             - np.transpose(d2g, (0, 2, 3, 1))
         )
+        # [a, k, i, j] = dginv[a, k, l] s[i, j, l] + ginv[k, l] ds[a, i, j, l]
         return 0.5 * (
-            np.einsum("akl,ijl->akij", dginv, s) + np.einsum("kl,aijl->akij", ginv, ds)
+            np.tensordot(dginv, s, axes=([2], [2]))
+            + np.moveaxis(ds @ ginv.T, 3, 1)
         )
     def gamma_at(v: np.ndarray) -> np.ndarray:
         return _christoffel_from(chart.metric(v), _metric_d1(chart, v))
@@ -264,12 +266,11 @@ def riemann_at(chart: MetricChart, u: np.ndarray) -> tuple[CurvatureTensor, Inne
     g = chart.metric(u)
     gamma = _christoffel_from(g, _metric_d1(chart, u))
     dgamma = _christoffel_d1(chart, u)
-    comps = (
-        np.einsum("sl,isjk->ijkl", g, dgamma)
-        - np.einsum("sl,jsik->ijkl", g, dgamma)
-        + np.einsum("sl,sit,tjk->ijkl", g, gamma, gamma, optimize=True)
-        - np.einsum("sl,sjt,tik->ijkl", g, gamma, gamma, optimize=True)
-    )
+    # R_ijkl = g_sl (d_i Gamma^s_jk + Gamma^s_it Gamma^t_jk) minus the
+    # same with i and j swapped: lower once, then antisymmetrize.
+    upper = dgamma + np.swapaxes(np.tensordot(gamma, gamma, axes=([2], [0])), 0, 1)
+    lowered = np.tensordot(upper, g, axes=([1], [0]))
+    comps = lowered - np.swapaxes(lowered, 0, 1)
     # Stencils call metric_at directly, so a non-finite value off the
     # centre point first shows here.
     if not np.all(np.isfinite(comps)):
@@ -291,19 +292,17 @@ def covariant_derivative_riemann(chart: MetricChart, u: np.ndarray) -> np.ndarra
     def riemann_comps(v: np.ndarray) -> np.ndarray:
         return riemann_at(chart, v)[0].components
 
-    dr = np.empty((m, m, m, m, m))
+    out = np.empty((m, m, m, m, m))
     for n in range(m):
-        dr[n] = _stencil4(riemann_comps, u, n, k3)
-    r, _ = riemann_at(chart, u)
+        out[..., n] = _stencil4(riemann_comps, u, n, k3)
+    rc = riemann_at(chart, u)[0].components
     gamma = _christoffel_from(chart.metric(u), _metric_d1(chart, u))
-    rc = r.components
-    corr = (
-        np.einsum("sni,sjkl->ijkln", gamma, rc)
-        + np.einsum("snj,iskl->ijkln", gamma, rc)
-        + np.einsum("snk,ijsl->ijkln", gamma, rc)
-        + np.einsum("snl,ijks->ijkln", gamma, rc)
-    )
-    return np.transpose(dr, (1, 2, 3, 4, 0)) - corr
+    # Slot p of R contracted with Gamma^s_np lands as axes (..., n, p);
+    # move p back into place.  Subtracting in place keeps one m^5
+    # temporary alive at a time.
+    for slot in range(4):
+        out -= np.moveaxis(np.tensordot(rc, gamma, axes=([slot], [0])), -1, slot)
+    return out
 
 
 def cyclic_bianchi_residual(nabla_r: np.ndarray) -> float:

@@ -47,9 +47,8 @@ from .spectral import (
     OssermanReport,
     SpectralProfile,
     cluster_spectrum,
+    direction_spectra,
     osserman_test,
-    reduced_jacobi,
-    spectral_profile,
     structured_directions,
 )
 from .tensor_core import (
@@ -251,9 +250,7 @@ def consensus_profile(
     """
     _require_euclidean(w)
     dirs = structured_directions(w.dim)
-    profiles = [
-        spectral_profile(reduced_jacobi(w, x), cluster_tol=cluster_tol) for x in dirs
-    ]
+    profiles = [cluster_spectrum(row, cluster_tol) for row in direction_spectra(w, dirs)]
     i = _modal_index(profiles)
     return profiles[i], dirs[i]
 

@@ -19,9 +19,11 @@ Configuration is a single JSON document read from a file (or stdin via
 mirror the config keys and override file values.  Reports are byte
 deterministic for fixed (config, seed, version): every float goes
 through one shared 17-significant-digit formatter, object keys are
-sorted, and parallel point evaluation preserves input order.  The
-WEYLGEOM_WORKERS environment variable caps the worker pool; the default
-is the available core count.
+sorted, and parallel point evaluation preserves input order.  Points
+are evaluated serially unless the WEYLGEOM_WORKERS environment variable
+asks for a thread pool, which stays capped by the point and core
+counts.  BLAS may already use every core, and a pool on top of it
+oversubscribes them.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 domain violation, 4 numerical failure.
@@ -189,7 +191,21 @@ def _parse_model(raw) -> ModelSpec:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"model params must be an object, got {params!r}")
+    if name == "polynomial":
+        _require_finite_coefficients(params, "model")
     return ModelSpec(name=name, params=dict(params))
+
+
+def _require_finite_coefficients(raw: dict, where: str) -> None:
+    """Reject external polynomial metric coefficients (and extent) that
+    are not numbers or not finite."""
+    for key in sorted(set(raw) & _METRIC_KEYS):
+        try:
+            coefficients = np.asarray(raw[key], dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{where} {key} must be numeric: {exc}") from exc
+        if not np.all(np.isfinite(coefficients)):
+            raise ConfigError(f"{where} {key} holds a non-finite coefficient")
 
 
 def _parse_metric(raw) -> dict:
@@ -198,13 +214,7 @@ def _parse_metric(raw) -> dict:
     _reject_unknown(raw, _METRIC_KEYS, "metric")
     if "constant" not in raw:
         raise ConfigError("metric needs a constant coefficient matrix")
-    for key in sorted(raw):
-        try:
-            coefficients = np.asarray(raw[key], dtype=float)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"metric {key} must be numeric: {exc}") from exc
-        if not np.all(np.isfinite(coefficients)):
-            raise ConfigError(f"metric {key} holds a non-finite coefficient")
+    _require_finite_coefficients(raw, "metric")
     return dict(raw)
 
 
@@ -508,17 +518,17 @@ def _analysis_record(analysis: PointAnalysis, metric: np.ndarray, bianchi: float
 
 
 def _worker_count(n: int) -> int:
+    """1 unless WEYLGEOM_WORKERS asks for more; capped by n and the cores."""
     env = os.environ.get("WEYLGEOM_WORKERS", "").strip()
-    avail = os.cpu_count() or 1
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"WEYLGEOM_WORKERS must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise ConfigError(f"WEYLGEOM_WORKERS must be >= 1, got {cap}")
-        avail = min(avail, cap)
-    return max(1, min(n, avail))
+    if not env:
+        return 1
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ConfigError(f"WEYLGEOM_WORKERS must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise ConfigError(f"WEYLGEOM_WORKERS must be >= 1, got {cap}")
+    return max(1, min(n, cap, os.cpu_count() or 1))
 
 
 def _map_ordered(fn, items) -> list:

@@ -138,6 +138,12 @@ def _projective_family(n: int, sign: float, domain, name: str) -> MetricChart:
     m = 2 * n
     jmat = standard_phi(m).matrix
     eye = np.eye(m)
+    # d2P[a, b] = e_a e_b^T + e_b e_a^T + J_a J_b^T + J_b J_a^T with J_a the
+    # a-th column of J; it does not depend on the point.
+    outer_e = eye[:, None, :, None] * eye[None, :, None, :]
+    outer_j = jmat.T[:, None, :, None] * jmat.T[None, :, None, :]
+    d2p = outer_e + outer_j
+    d2p = d2p + np.transpose(d2p, (1, 0, 2, 3))
 
     def parts(u):
         s = float(u @ u)
@@ -150,45 +156,31 @@ def _projective_family(n: int, sign: float, domain, name: str) -> MetricChart:
         q = 1.0 + sign * s
         return (q * eye - sign * p) / q**2
 
-    def dp(u, a, v):
-        ea = eye[a]
-        ja = jmat[:, a]
-        return np.outer(ea, u) + np.outer(u, ea) + np.outer(ja, v) + np.outer(v, ja)
+    def first_order(u):
+        """q, dq[a] = d_a q, P and dP[a, i, j] = d_a P_ij."""
+        s, v, p = parts(u)
+        half = eye[:, :, None] * u + jmat.T[:, :, None] * v
+        return 1.0 + sign * s, sign * 2.0 * u, p, half + np.transpose(half, (0, 2, 1))
 
     def d1(u):
-        s, v, p = parts(u)
-        q = 1.0 + sign * s
-        out = np.empty((m, m, m))
-        for a in range(m):
-            dq = sign * 2.0 * u[a]
-            out[a] = -dq / q**2 * eye + 2.0 * dq * sign / q**3 * p - sign / q**2 * dp(u, a, v)
-        return out
+        q, dq, p, dp = first_order(u)
+        return (
+            (-dq / q**2)[:, None, None] * eye
+            + (2.0 * sign * dq / q**3)[:, None, None] * p
+            - sign / q**2 * dp
+        )
 
     def d2(u):
-        s, v, p = parts(u)
-        q = 1.0 + sign * s
-        out = np.empty((m, m, m, m))
-        for a in range(m):
-            dqa = sign * 2.0 * u[a]
-            dpa = dp(u, a, v)
-            for b in range(m):
-                dqb = sign * 2.0 * u[b]
-                dqab = sign * 2.0 * eye[a, b]
-                dpb = dp(u, b, v)
-                d2p = (
-                    np.outer(eye[a], eye[b])
-                    + np.outer(eye[b], eye[a])
-                    + np.outer(jmat[:, a], jmat[:, b])
-                    + np.outer(jmat[:, b], jmat[:, a])
-                )
-                term_eye = (-dqab / q**2 + 2.0 * dqa * dqb / q**3) * eye
-                term_p = (
-                    2.0 * sign * (dqab / q**3 - 3.0 * dqa * dqb / q**4) * p
-                    + 2.0 * sign * dqa / q**3 * dpb
-                )
-                term_dp = 2.0 * sign * dqb / q**3 * dpa - sign / q**2 * d2p
-                out[a, b] = term_eye + term_p + term_dp
-        return out
+        q, dq, p, dp = first_order(u)
+        dqdq = np.outer(dq, dq)
+        dqab = sign * 2.0 * eye
+        cross = dq[:, None, None, None] * dp[None, :]
+        return (
+            (-dqab / q**2 + 2.0 * dqdq / q**3)[:, :, None, None] * eye
+            + (2.0 * sign * (dqab / q**3 - 3.0 * dqdq / q**4))[:, :, None, None] * p
+            + 2.0 * sign / q**3 * (cross + np.transpose(cross, (1, 0, 2, 3)))
+            - sign / q**2 * d2p
+        )
 
     return MetricChart(dim=m, metric_at=metric, domain=domain, d_metric=d1, d2_metric=d2, name=name)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import CurvatureTensor, max_abs
+from .tensor_core import CurvatureTensor
 
 __all__ = [
     "SpectralProfile",
@@ -26,6 +26,7 @@ __all__ = [
     "jacobi_operator",
     "complement_basis",
     "reduced_jacobi",
+    "direction_spectra",
     "spectral_profile",
     "cluster_spectrum",
     "unit_directions",
@@ -97,6 +98,19 @@ class OssermanReport:
         object.__setattr__(self, "spectra", spectra)
 
 
+_BLOCK_ROWS = 64
+
+
+def _jacobi_stack(comps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Jacobi operators J(x)[z, y] = A[y, a, b, z] x_a x_b of the rows of
+    dirs, shape (n, m, m)."""
+    n, m = dirs.shape
+    xx = (dirs[:, :, None] * dirs[:, None, :]).reshape(n, m * m)
+    # One (n, m^2) @ (m^2, m) product per y reads a contiguous A in
+    # place, without a transposed m^4 copy; the result is [y, n, z].
+    return np.transpose(xx @ comps.reshape(m, m * m, m), (1, 2, 0))
+
+
 def jacobi_operator(a: CurvatureTensor, x: np.ndarray) -> np.ndarray:
     """Matrix of y -> A(y, x, x, .) in the orthonormal frame.
 
@@ -104,8 +118,18 @@ def jacobi_operator(a: CurvatureTensor, x: np.ndarray) -> np.ndarray:
     non-unit x is allowed (the constancy test normalizes upstream).
     """
     _require_orthonormal(a)
-    x = np.asarray(x, dtype=float)
-    return np.einsum("yabz,a,b->zy", a.components, x, x, optimize=True)
+    return _jacobi_stack(a.components, np.asarray(x, dtype=float)[None, :])[0]
+
+
+def _complement_bases(dirs: np.ndarray) -> np.ndarray:
+    """Householder complements of unit rows, shape (n, m, m - 1)."""
+    m = dirs.shape[1]
+    v = dirs.copy()
+    v[:, 0] += np.where(dirs[:, 0] >= 0, 1.0, -1.0)
+    scale = -2.0 / np.einsum("ni,ni->n", v, v)
+    h = (scale[:, None] * v)[:, :, None] * v[:, None, :]
+    h += np.eye(m)
+    return h[:, :, 1:]
 
 
 def complement_basis(x: np.ndarray) -> np.ndarray:
@@ -114,32 +138,56 @@ def complement_basis(x: np.ndarray) -> np.ndarray:
     Columns of the returned (m, m-1) matrix; built from a Householder
     reflection, hence deterministic and smooth away from the pole.
     """
-    x = np.asarray(x, dtype=float)
-    m = x.shape[0]
-    s = 1.0 if x[0] >= 0 else -1.0
-    v = x.copy()
-    v[0] += s
-    h = np.eye(m) - 2.0 * np.outer(v, v) / (v @ v)
-    return h[:, 1:]
+    return _complement_bases(np.asarray(x, dtype=float)[None, :])[0]
+
+
+def _reduced_jacobi_stack(comps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Reduced Jacobi operators of the unit rows of dirs, (n, m-1, m-1)."""
+    nrm = np.linalg.norm(dirs, axis=1)
+    bad = np.flatnonzero(np.abs(nrm - 1.0) > _UNIT_TOL)
+    if bad.size:
+        raise ValueError(f"direction must be unit length, got |x| = {float(nrm[bad[0]])!r}")
+    p = _complement_bases(dirs)
+    return np.swapaxes(p, 1, 2) @ _jacobi_stack(comps, dirs) @ p
 
 
 def reduced_jacobi(a: CurvatureTensor, x: np.ndarray) -> np.ndarray:
     """Jacobi operator restricted to the complement of unit x."""
-    x = np.asarray(x, dtype=float)
-    nrm = float(np.linalg.norm(x))
-    if abs(nrm - 1.0) > _UNIT_TOL:
-        raise ValueError(f"direction must be unit length, got |x| = {nrm!r}")
-    j = jacobi_operator(a, x)
-    p = complement_basis(x)
-    return p.T @ j @ p
+    _require_orthonormal(a)
+    return _reduced_jacobi_stack(a.components, np.asarray(x, dtype=float)[None, :])[0]
+
+
+def direction_spectra(a: CurvatureTensor, dirs: np.ndarray) -> np.ndarray:
+    """Ascending reduced Jacobi spectra of the unit rows of dirs, one row
+    each, shape (n, m - 1).
+
+    Rows are solved in fixed blocks, which bounds the memory of the
+    stacked operators.  A row that is not unit length, or whose reduced
+    operator is not self adjoint, raises ValueError.
+    """
+    _require_orthonormal(a)
+    # Contiguous once, so every block reshapes the tensor without a copy.
+    comps = np.ascontiguousarray(a.components)
+    dirs = np.asarray(dirs, dtype=float)
+    spectra = np.empty((dirs.shape[0], a.dim - 1))
+    for start in range(0, dirs.shape[0], _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        spectra[block] = _self_adjoint_eigvalsh(_reduced_jacobi_stack(comps, dirs[block]))
+    return spectra
 
 
 def _self_adjoint_eigvalsh(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a matrix required to be self adjoint."""
+    """Ascending eigenvalues of a matrix, or a stack of matrices, each
+    required to be self adjoint."""
     mat = np.asarray(mat, dtype=float)
-    if max_abs(mat - mat.T) > _UNIT_TOL * max(1.0, max_abs(mat)):
+    mat_t = np.swapaxes(mat, -1, -2)
+    skew = np.abs(mat - mat_t).max(axis=(-2, -1), initial=0.0)
+    size = np.abs(mat).max(axis=(-2, -1), initial=0.0)
+    if np.any(skew > _UNIT_TOL * np.maximum(1.0, size)):
         raise ValueError("eigenvalue solve needs a self adjoint matrix")
-    return np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    sym = mat + mat_t
+    sym *= 0.5
+    return np.linalg.eigvalsh(sym)
 
 
 def cluster_spectrum(eig: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralProfile:
@@ -214,10 +262,10 @@ def trace_check(
     generic tensor reports its Ricci size.
     """
     _require_orthonormal(a)
-    worst = 0.0
-    for x in unit_directions(a.dim, samples, seed):
-        worst = max(worst, abs(float(np.trace(jacobi_operator(a, x)))))
-    return worst
+    # Tr J(x) = x^T T x with T_ab = sum_y A_yaby.
+    t = np.einsum("yaby->ab", a.components)
+    dirs = unit_directions(a.dim, samples, seed)
+    return float(np.max(np.abs(np.einsum("na,ab,nb->n", dirs, t, dirs))))
 
 
 def osserman_test(
@@ -237,11 +285,7 @@ def osserman_test(
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    _require_orthonormal(a)
-    dirs = unit_directions(a.dim, samples, seed)
-    spectra = np.empty((dirs.shape[0], a.dim - 1))
-    for row, x in enumerate(dirs):
-        spectra[row] = _self_adjoint_eigvalsh(reduced_jacobi(a, x))
+    spectra = direction_spectra(a, unit_directions(a.dim, samples, seed))
     # Max pairwise L-inf distance of sorted rows equals the widest
     # per-coordinate range.
     distance = float(np.max(spectra.max(axis=0) - spectra.min(axis=0)))

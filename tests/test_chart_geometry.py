@@ -25,6 +25,7 @@ from weylgeom.models import (
     flat_chart,
     fubini_study_chart,
     hyperbolic_chart,
+    perturbed_flat_chart,
     sphere_chart,
     standard_phi,
 )
@@ -225,6 +226,39 @@ class TestCovariantDerivatives:
         nr = covariant_derivative_riemann(sphere_chart(3, 1.0), np.full(3, 0.05)).copy()
         nr[0, 0, 0, 0, 1] += 0.1
         assert cyclic_bianchi_residual(nr) >= 0.09
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_matches_einsum_reference_layout(self, analytic):
+        # nabla_n R_ijkl = d_n R_ijkl - Gamma^s_ni R_sjkl - Gamma^s_nj R_iskl
+        #                 - Gamma^s_nk R_ijsl - Gamma^s_nl R_ijks, stored [i, j, k, l, n].
+        chart = perturbed_flat_chart(4, 0.1, seed=3)
+        if not analytic:
+            chart = dataclasses.replace(chart, d_metric=None, d2_metric=None)
+        u = np.array([0.05, -0.1, 0.08, 0.02])
+        k = 0.5 * chart.step3
+
+        def comps(v):
+            return riemann_at(chart, v)[0].components
+
+        dr = []
+        for n in range(chart.dim):
+            e = np.zeros(chart.dim)
+            e[n] = k
+            dr.append(
+                (-comps(u + 2 * e) + 8 * comps(u + e) - 8 * comps(u - e) + comps(u - 2 * e))
+                / (12 * k)
+            )
+        rc = comps(u)
+        gamma = christoffel(chart, u)
+        expect = np.einsum("nijkl->ijkln", np.array(dr)) - (
+            np.einsum("sni,sjkl->ijkln", gamma, rc)
+            + np.einsum("snj,iskl->ijkln", gamma, rc)
+            + np.einsum("snk,ijsl->ijkln", gamma, rc)
+            + np.einsum("snl,ijks->ijkln", gamma, rc)
+        )
+        got = covariant_derivative_riemann(chart, u)
+        assert got.shape == (4,) * 5
+        assert max_abs(got - expect) <= 1e-12 * max(1.0, max_abs(expect))
 
     def test_constant_endo_on_flat_is_parallel(self):
         val = np.diag([1.0, 2.0, 3.0])

@@ -218,6 +218,13 @@ class TestDeterminism:
         b = run(capsys, "analyze", "--model", "random:seed=3,m=5", "--format", "json")
         assert a == b
 
+    def test_serial_unless_workers_requested(self, monkeypatch):
+        monkeypatch.delenv("WEYLGEOM_WORKERS", raising=False)
+        assert cli._worker_count(5) == 1
+        monkeypatch.setenv("WEYLGEOM_WORKERS", "4")
+        assert cli._worker_count(1) == 1
+        assert 1 <= cli._worker_count(5) <= 4
+
     def test_invalid_worker_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WEYLGEOM_WORKERS", "abc")
         code, _, err = run(capsys, "analyze", "--model", "flat:m=2")
@@ -315,6 +322,22 @@ class TestFailureMapping:
         cfg.write_text(
             '{"metric": {"constant": [[%s, 0, 0], [0, 1, 0], [0, 0, 1]]}}' % value
         )
+        code, _, err = run(capsys, "analyze", str(cfg))
+        assert code == 2
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            '{"constant": [[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+            '{"constant": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "linear": [[[NaN, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]]]}',
+            '{"constant": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "extent": Infinity}',
+        ],
+        ids=["nan_constant", "nan_linear", "infinite_extent"],
+    )
+    def test_non_finite_polynomial_model_param_is_config_error(self, tmp_path, capsys, params):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"model": {"name": "polynomial", "params": %s}}' % params)
         code, _, err = run(capsys, "analyze", str(cfg))
         assert code == 2
         assert "non-finite" in err

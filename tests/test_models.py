@@ -103,6 +103,57 @@ class TestComplexSpaceFormCharts:
             chart.metric(u)
 
 
+def projective_derivatives_by_loop(n, sign, u):
+    """Per-(a, b) formula for the derivatives of
+    g = [(1 + sign s) I - sign P] / (1 + sign s)^2, the reference for
+    the broadcast closed form in models."""
+    m = 2 * n
+    jmat = standard_phi(m).matrix
+    eye = np.eye(m)
+    s = float(u @ u)
+    v = jmat @ u
+    p = np.outer(u, u) + np.outer(v, v)
+    q = 1.0 + sign * s
+
+    def dp(a):
+        ea, ja = eye[a], jmat[:, a]
+        return np.outer(ea, u) + np.outer(u, ea) + np.outer(ja, v) + np.outer(v, ja)
+
+    d1 = np.empty((m, m, m))
+    d2 = np.empty((m, m, m, m))
+    for a in range(m):
+        dqa = sign * 2.0 * u[a]
+        d1[a] = -dqa / q**2 * eye + 2.0 * dqa * sign / q**3 * p - sign / q**2 * dp(a)
+        for b in range(m):
+            dqb = sign * 2.0 * u[b]
+            dqab = sign * 2.0 * eye[a, b]
+            d2p = (
+                np.outer(eye[a], eye[b])
+                + np.outer(eye[b], eye[a])
+                + np.outer(jmat[:, a], jmat[:, b])
+                + np.outer(jmat[:, b], jmat[:, a])
+            )
+            d2[a, b] = (
+                (-dqab / q**2 + 2.0 * dqa * dqb / q**3) * eye
+                + 2.0 * sign * (dqab / q**3 - 3.0 * dqa * dqb / q**4) * p
+                + 2.0 * sign * dqa / q**3 * dp(b)
+                + 2.0 * sign * dqb / q**3 * dp(a)
+                - sign / q**2 * d2p
+            )
+    return d1, d2
+
+
+class TestProjectiveDerivatives:
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("build,sign", [(fubini_study_chart, 1.0), (complex_hyperbolic_chart, -1.0)])
+    def test_closed_form_matches_loop(self, n, build, sign):
+        chart = build(n)
+        for u in chart.probe_points(4, seed=5):
+            d1, d2 = projective_derivatives_by_loop(n, sign, u)
+            assert max_abs(chart.d_metric(u) - d1) <= 1e-14
+            assert max_abs(chart.d2_metric(u) - d2) <= 1e-14
+
+
 class TestPerturbedFlat:
     def test_zero_amplitude_is_flat(self):
         chart = perturbed_flat_chart(3, 0.0, 5)

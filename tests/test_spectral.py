@@ -23,13 +23,24 @@ from weylgeom.spectral import (
     trace_check,
     unit_directions,
 )
-from weylgeom.tensor_core import InnerProduct, max_abs
+from weylgeom.tensor_core import CurvatureTensor, InnerProduct, max_abs
 
 
 def basis_vector(m, i):
     x = np.zeros(m)
     x[i] = 1.0
     return x
+
+
+def reduced_jacobi_by_formula(a, x):
+    """One direction at a time: the einsum Jacobi operator compressed to
+    the Householder complement of x, the reference for the batched
+    spectra."""
+    j = np.einsum("yabz,a,b->zy", a.components, x, x)
+    v = x.copy()
+    v[0] += 1.0 if x[0] >= 0 else -1.0
+    p = (np.eye(len(x)) - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
+    return p.T @ j @ p
 
 
 class TestJacobiOperator:
@@ -184,6 +195,44 @@ class TestTraceCheck:
 
         g = InnerProduct.euclidean(4)
         assert trace_check(CurvatureTensor(np.zeros((4,) * 4), g)) == 0.0
+
+
+class TestBatchedSpectra:
+    @pytest.mark.parametrize("m,samples", [(6, 64), (10, 64), (10, 37), (24, 64)])
+    def test_osserman_spectra_match_per_direction_loop(self, m, samples):
+        # 10 * 10 + 37 rows leave a partial last block.
+        a = random_act(m, m)
+        rep = osserman_test(a, samples=samples, seed=4)
+        dirs = unit_directions(m, samples, seed=4)
+        expect = np.array([np.linalg.eigvalsh(reduced_jacobi_by_formula(a, x)) for x in dirs])
+        assert rep.spectra.shape == expect.shape
+        assert max_abs(rep.spectra - expect) <= 1e-12 * max(1.0, max_abs(expect))
+        public = np.array([np.linalg.eigvalsh(reduced_jacobi(a, x)) for x in dirs])
+        assert max_abs(rep.spectra - public) <= 1e-12 * max(1.0, max_abs(expect))
+
+    def test_asymmetric_row_in_second_block_raises(self):
+        # The defect only shows in directions with both x_8 and x_9
+        # nonzero: the structured pair (8, 9) and the random draws, all
+        # past the first block of rows.
+        m = 10
+        comps = np.array(r0(InnerProduct.euclidean(m)).components)
+        comps[0, 8, 9, 1] += 0.5
+        comps[0, 9, 8, 1] += 0.5
+        a = CurvatureTensor(comps, InnerProduct.euclidean(m))
+        dirs = unit_directions(m, 8, seed=0)
+        first_block = dirs[:64]
+        assert np.all(np.abs(first_block[:, 8] * first_block[:, 9]) == 0.0)
+        with pytest.raises(ValueError, match="self adjoint"):
+            osserman_test(a, samples=8)
+
+    def test_trace_check_matches_per_direction_trace(self):
+        for seed, m in ((0, 6), (3, 10)):
+            a = random_act(seed, m)
+            expect = max(
+                abs(np.einsum("yaby,a,b->", a.components, x, x))
+                for x in unit_directions(m, 40, seed=2)
+            )
+            assert abs(trace_check(a, samples=40, seed=2) - expect) <= 1e-12 * max(1.0, expect)
 
 
 class TestOssermanTest:
