@@ -163,50 +163,42 @@ class MetricChart:
         return self.domain.interior_sample(count, seed, dim=self.dim)
 
 
-def _stencil4(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray, a: int, reach: float) -> np.ndarray:
-    """Fourth order central difference of f along coordinate a.
+def _gradient(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray, reach: float) -> np.ndarray:
+    """Fourth order central differences of f along every coordinate,
+    stacked on axis 0.
 
     Evaluates at u +- reach/2 and u +- reach, so the stencil never
     leaves a ball of the given reach around u; truncation O(reach^4).
     """
     k = 0.5 * reach
-    e = np.zeros(len(u))
-    e[a] = k
-    fp2 = np.asarray(f(u + 2.0 * e), dtype=float)
-    fp1 = np.asarray(f(u + e), dtype=float)
-    fm1 = np.asarray(f(u - e), dtype=float)
-    fm2 = np.asarray(f(u - 2.0 * e), dtype=float)
-    return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * k)
+    out = None
+    for a in range(len(u)):
+        e = np.zeros(len(u))
+        e[a] = k
+        fp2 = np.asarray(f(u + 2.0 * e), dtype=float)
+        fp1 = np.asarray(f(u + e), dtype=float)
+        fm1 = np.asarray(f(u - e), dtype=float)
+        fm2 = np.asarray(f(u - 2.0 * e), dtype=float)
+        if out is None:
+            out = np.empty((len(u),) + fp2.shape)
+        out[a] = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * k)
+    return out
 
 
 def _metric_d1(chart: MetricChart, u: np.ndarray) -> np.ndarray:
     """First derivatives dg[a, i, j] = d_a g_ij, analytic or central."""
     if chart.d_metric is not None:
         return np.asarray(chart.d_metric(u), dtype=float)
-    h = chart.fd_step
-    m = chart.dim
-    out = np.empty((m, m, m))
-    for a in range(m):
-        out[a] = _stencil4(chart.metric_at, u, a, h)
-    return out
+    return _gradient(chart.metric_at, u, chart.fd_step)
 
 
-def _metric_d2(chart: MetricChart, u: np.ndarray) -> np.ndarray:
-    """Second derivatives d2[a, b, i, j], symmetrized in (a, b)."""
-    if chart.d2_metric is not None:
-        d2 = np.asarray(chart.d2_metric(u), dtype=float)
-    else:
-        m = chart.dim
-        d2 = np.empty((m, m, m, m))
-        for b in range(m):
-            d2[:, b] = _stencil4(lambda v: _metric_d1(chart, v), u, b, chart.step2)
-    return 0.5 * (d2 + np.swapaxes(d2, 0, 1))
-
-
-def _christoffel_from(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    ginv = np.linalg.inv(g)
+def _christoffel_from(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     s = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
     return 0.5 * np.einsum("kl,ijl->kij", ginv, s)
+
+
+def _gamma_at(chart: MetricChart, u: np.ndarray) -> np.ndarray:
+    return _christoffel_from(np.linalg.inv(chart.metric(u)), _metric_d1(chart, u))
 
 
 def christoffel(chart: MetricChart, u: np.ndarray) -> np.ndarray:
@@ -214,38 +206,21 @@ def christoffel(chart: MetricChart, u: np.ndarray) -> np.ndarray:
 
     Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
     """
-    u = chart.require_interior(u, extent=2.0 * chart.fd_step)
-    return _christoffel_from(chart.metric(u), _metric_d1(chart, u))
+    return _gamma_at(chart, chart.require_interior(u, extent=2.0 * chart.fd_step))
 
 
-def _christoffel_d1(chart: MetricChart, u: np.ndarray) -> np.ndarray:
-    """dGamma[a, k, i, j] = d_a Gamma^k_ij."""
-    m = chart.dim
-    if chart.analytic:
-        g = chart.metric(u)
-        dg = _metric_d1(chart, u)
-        d2g = _metric_d2(chart, u)
-        ginv = np.linalg.inv(g)
-        dginv = -(ginv @ dg @ ginv)
-        s = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
-        # d_a S_ijl from the symmetrized second derivatives.
-        ds = (
-            d2g
-            + np.transpose(d2g, (0, 2, 1, 3))
-            - np.transpose(d2g, (0, 2, 3, 1))
-        )
-        # [a, k, i, j] = dginv[a, k, l] s[i, j, l] + ginv[k, l] ds[a, i, j, l]
-        return 0.5 * (
-            np.tensordot(dginv, s, axes=([2], [2]))
-            + np.moveaxis(ds @ ginv.T, 3, 1)
-        )
-    def gamma_at(v: np.ndarray) -> np.ndarray:
-        return _christoffel_from(chart.metric(v), _metric_d1(chart, v))
-
-    out = np.empty((m, m, m, m))
-    for a in range(m):
-        out[a] = _stencil4(gamma_at, u, a, chart.step2)
-    return out
+def _christoffel_d1(chart: MetricChart, u: np.ndarray, ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """dGamma[a, k, i, j] = d_a Gamma^k_ij, given g^-1 and dg at u."""
+    if not chart.analytic:
+        return _gradient(lambda v: _gamma_at(chart, v), u, chart.step2)
+    d2g = np.asarray(chart.d2_metric(u), dtype=float)
+    d2g = 0.5 * (d2g + np.swapaxes(d2g, 0, 1))
+    dginv = -(ginv @ dg @ ginv)
+    s = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
+    # d_a S_ijl from the symmetrized second derivatives.
+    ds = d2g + np.transpose(d2g, (0, 2, 1, 3)) - np.transpose(d2g, (0, 2, 3, 1))
+    # [a, k, i, j] = dginv[a, k, l] s[i, j, l] + ginv[k, l] ds[a, i, j, l]
+    return 0.5 * (np.tensordot(dginv, s, axes=([2], [2])) + np.moveaxis(ds @ ginv.T, 3, 1))
 
 
 def _symmetrize_curvature(c: np.ndarray) -> np.ndarray:
@@ -260,23 +235,33 @@ def _symmetrize_curvature(c: np.ndarray) -> np.ndarray:
     return 0.5 * (c + np.transpose(c, (2, 3, 0, 1)))
 
 
-def riemann_at(chart: MetricChart, u: np.ndarray) -> tuple[CurvatureTensor, InnerProduct]:
-    """Fully covariant Riemann tensor and the metric at a point."""
-    u = chart.require_interior(u, extent=2.0 * (chart.step2 + chart.fd_step))
+def _curvature(chart: MetricChart, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Riemann components, metric and Gamma at u, each chart callback
+    evaluated once at u; no domain check."""
     g = chart.metric(u)
-    gamma = _christoffel_from(g, _metric_d1(chart, u))
-    dgamma = _christoffel_d1(chart, u)
+    ginv = np.linalg.inv(g)
+    dg = _metric_d1(chart, u)
+    gamma = _christoffel_from(ginv, dg)
     # R_ijkl = g_sl (d_i Gamma^s_jk + Gamma^s_it Gamma^t_jk) minus the
     # same with i and j swapped: lower once, then antisymmetrize.
-    upper = dgamma + np.swapaxes(np.tensordot(gamma, gamma, axes=([2], [0])), 0, 1)
+    upper = _christoffel_d1(chart, u, ginv, dg) + np.swapaxes(
+        np.tensordot(gamma, gamma, axes=([2], [0])), 0, 1
+    )
     lowered = np.tensordot(upper, g, axes=([1], [0]))
     comps = lowered - np.swapaxes(lowered, 0, 1)
     # Stencils call metric_at directly, so a non-finite value off the
     # centre point first shows here.
     if not np.all(np.isfinite(comps)):
         raise DomainError(f"curvature is not finite at u={u}")
+    return _symmetrize_curvature(comps), g, gamma
+
+
+def riemann_at(chart: MetricChart, u: np.ndarray) -> tuple[CurvatureTensor, InnerProduct]:
+    """Fully covariant Riemann tensor and the metric at a point."""
+    u = chart.require_interior(u, extent=2.0 * (chart.step2 + chart.fd_step))
+    comps, g, _ = _curvature(chart, u)
     metric = InnerProduct(g)
-    return CurvatureTensor(_symmetrize_curvature(comps), metric), metric
+    return CurvatureTensor(comps, metric), metric
 
 
 def covariant_derivative_riemann(chart: MetricChart, u: np.ndarray) -> np.ndarray:
@@ -286,17 +271,12 @@ def covariant_derivative_riemann(chart: MetricChart, u: np.ndarray) -> np.ndarra
     tensor slot.
     """
     k3 = chart.step3
+    # Each stencil point moves at most k3 along one axis, so this margin
+    # leaves riemann_at's own margin around it: per coordinate for a Box,
+    # by the triangle inequality for a Ball.
     u = chart.require_interior(u, extent=k3 + 2.0 * (chart.step2 + chart.fd_step))
-    m = chart.dim
-
-    def riemann_comps(v: np.ndarray) -> np.ndarray:
-        return riemann_at(chart, v)[0].components
-
-    out = np.empty((m, m, m, m, m))
-    for n in range(m):
-        out[..., n] = _stencil4(riemann_comps, u, n, k3)
-    rc = riemann_at(chart, u)[0].components
-    gamma = _christoffel_from(chart.metric(u), _metric_d1(chart, u))
+    out = np.moveaxis(_gradient(lambda v: _curvature(chart, v)[0], u, k3), 0, -1)
+    rc, _, gamma = _curvature(chart, u)
     # Slot p of R contracted with Gamma^s_np lands as axes (..., n, p);
     # move p back into place.  Subtracting in place keeps one m^5
     # temporary alive at a time.
@@ -333,18 +313,11 @@ def covariant_derivative_endo(
     connection matrix Gamma^i_{a j}.
     """
     u = chart.require_interior(u, extent=2.0 * chart.fd_step)
-    m = chart.dim
-    h = chart.fd_step
     phi0 = np.asarray(phi_field(u), dtype=float)
-    if phi0.shape != (m, m):
+    if phi0.shape != (chart.dim, chart.dim):
         raise ValueError(f"endomorphism field returned shape {phi0.shape}")
-    gamma = christoffel(chart, u)
-    out = np.empty((m, m, m))
-    for a in range(m):
-        dphi = _stencil4(phi_field, u, a, h)
-        ga = gamma[:, a, :]
-        out[a] = dphi + ga @ phi0 - phi0 @ ga
-    return out
+    ga = np.moveaxis(christoffel(chart, u), 1, 0)
+    return _gradient(phi_field, u, chart.fd_step) + ga @ phi0 - phi0 @ ga
 
 
 def conformal_rescale(

@@ -250,17 +250,23 @@ def consensus_profile(
     """
     _require_euclidean(w)
     dirs = structured_directions(w.dim)
-    profiles = [cluster_spectrum(row, cluster_tol) for row in direction_spectra(w, dirs)]
-    i = _modal_index(profiles)
-    return profiles[i], dirs[i]
+    profile, i = _modal_profile(direction_spectra(w, dirs), cluster_tol)
+    return profile, dirs[i]
 
 
-def _modal_index(profiles: list[SpectralProfile]) -> int:
-    """Index of the first profile whose multiplicity signature is the
-    most frequent one."""
-    counts = Counter(pr.multiplicities for pr in profiles)
-    top = max(counts.values())
-    return next(i for i, pr in enumerate(profiles) if counts[pr.multiplicities] == top)
+def _modal_profile(rows: np.ndarray, cluster_tol: float) -> tuple[SpectralProfile, int]:
+    """Clustered profile of the first row whose multiplicity signature
+    is the most frequent one, and that row's index.
+
+    A row's signature is fixed by where its ascending eigenvalues break
+    into clusters (gaps over cluster_tol * max(1, max |row|), as in
+    cluster_spectrum), so the vote runs over break patterns.
+    """
+    scale = np.maximum(1.0, np.abs(rows).max(axis=1, initial=0.0))
+    breaks = np.diff(rows, axis=1) > cluster_tol * scale[:, None]
+    _, first, counts = np.unique(breaks, axis=0, return_index=True, return_counts=True)
+    i = int(first[counts == counts.max()].min())
+    return cluster_spectrum(rows[i], cluster_tol), i
 
 
 def parity_consistency(m: int, profile: SpectralProfile, verdict: Verdict) -> list[str]:
@@ -443,8 +449,7 @@ def analyze_point(
     w = dec.w
     report = osserman_test(w, samples=samples, seed=seed, spec_tol=tol.spec_tol)
     rows = report.spectra[: len(structured_directions(w.dim))]
-    profiles = [cluster_spectrum(row, tol.cluster_tol) for row in rows]
-    profile = profiles[_modal_index(profiles)]
+    profile, _ = _modal_profile(rows, tol.cluster_tol)
     verdict = classify_point(w, profile, report, w.dim, tol=tol)
     return PointAnalysis(dec, report, profile, verdict)
 

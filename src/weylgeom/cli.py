@@ -177,6 +177,10 @@ def _parse_points(raw) -> tuple[tuple[float, ...], ...]:
             if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(float(x)):
                 raise ConfigError(f"point coordinate must be a finite number, got {x!r}")
             coords.append(float(x))
+        if points and len(coords) != len(points[0]):
+            raise ConfigError(
+                f"points must all have {len(points[0])} coordinates, got {len(coords)}"
+            )
         points.append(tuple(coords))
     return tuple(points)
 
@@ -591,16 +595,15 @@ def _d2_alpha(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weyl13(chart: MetricChart, u: np.ndarray) -> np.ndarray:
-    """Mixed-index conformal tensor in chart coordinates.
+def _weyl13(r: CurvatureTensor) -> np.ndarray:
+    """Mixed-index conformal tensor of a chart curvature tensor.
 
     The coordinate components with the first index raised are what stays
     fixed under a conformal change of metric, so both metrics can be
     compared entrywise without any frame alignment.
     """
-    r, g = riemann_at(chart, u)
     dec = weyl_decompose(r)
-    return np.einsum("ia,ajkl->ijkl", np.linalg.inv(g.g), dec.w.components)
+    return np.einsum("ia,ajkl->ijkl", np.linalg.inv(r.metric.g), dec.w.components)
 
 
 def _check(name: str, residual: float, tolerance: float) -> dict:
@@ -627,12 +630,13 @@ def _verify_chart_point(
     bianchi = second_bianchi_residual(chart, u)
     checks.append(_check("second_bianchi", bianchi, BIANCHI_TIER[mode]))
 
-    dec = orthonormal_decomposition(riemann_at(chart, u)[0])
+    r = riemann_at(chart, u)[0]
+    dec = orthonormal_decomposition(r)
     checks.append(
         _check("trace_free_jacobi", trace_check(dec.w, samples, seed), TRACE_TIER["chart"])
     )
 
-    invariance = max_abs(_weyl13(chart, u) - _weyl13(scaled, u))
+    invariance = max_abs(_weyl13(r) - _weyl13(riemann_at(scaled, u)[0]))
     checks.append(_check("conformal_invariance", invariance, CONFORMAL_TIER))
 
     if phi_mat is not None:

@@ -265,9 +265,9 @@ def polynomial_metric_chart(
     command line front end.
     """
     g0 = np.asarray(constant, dtype=float)
-    m = g0.shape[0]
-    if g0.shape != (m, m):
+    if g0.ndim != 2 or g0.shape[0] != g0.shape[1]:
         raise ValueError(f"constant term must be square, got {g0.shape}")
+    m = g0.shape[0]
     lin = np.zeros((m, m, m)) if linear is None else np.asarray(linear, dtype=float)
     quad = np.zeros((m, m, m, m)) if quadratic is None else np.asarray(quadratic, dtype=float)
     if lin.shape != (m, m, m) or quad.shape != (m, m, m, m):

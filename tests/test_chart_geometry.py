@@ -32,6 +32,22 @@ from weylgeom.models import (
 from weylgeom.tensor_core import InnerProduct, max_abs, orthonormal_frame, transform_tensor
 
 
+def counted_chart(chart):
+    """The chart with each callback wrapped to count its calls."""
+    calls = {"metric_at": 0, "d_metric": 0, "d2_metric": 0}
+
+    def counting(name):
+        inner = getattr(chart, name)
+
+        def wrapped(u):
+            calls[name] += 1
+            return inner(u)
+
+        return wrapped
+
+    return dataclasses.replace(chart, **{name: counting(name) for name in calls}), calls
+
+
 def orthonormal_components(chart, u):
     a, g = riemann_at(chart, u)
     return transform_tensor(a, orthonormal_frame(g)).components
@@ -196,6 +212,19 @@ class TestRiemannAt:
             riemann_at(flat_chart(2), np.array([4.9999999, 0.0]))
 
 
+class TestCallbackCounts:
+    def test_riemann_at_evaluates_each_callback_once(self):
+        chart, calls = counted_chart(fubini_study_chart(2))
+        riemann_at(chart, np.full(4, 0.05))
+        assert calls == {"metric_at": 1, "d_metric": 1, "d2_metric": 1}
+
+    def test_second_bianchi_evaluates_each_stencil_point_once(self):
+        # Four stencil points along each of the m = 4 axes, plus the centre.
+        chart, calls = counted_chart(fubini_study_chart(2))
+        second_bianchi_residual(chart, np.full(4, 0.05))
+        assert calls == {"metric_at": 17, "d_metric": 17, "d2_metric": 17}
+
+
 class TestCovariantDerivatives:
     def test_flat_curvature_gradient_vanishes(self):
         nr = covariant_derivative_riemann(flat_chart(3), np.full(3, 0.1))
@@ -259,6 +288,27 @@ class TestCovariantDerivatives:
         got = covariant_derivative_riemann(chart, u)
         assert got.shape == (4,) * 5
         assert max_abs(got - expect) <= 1e-12 * max(1.0, max_abs(expect))
+
+    def test_endo_matches_per_axis_reference(self):
+        # nabla_a Phi = d_a Phi + Gamma_a Phi - Phi Gamma_a, (Gamma_a)^i_j = Gamma^i_aj.
+        chart = perturbed_flat_chart(4, 0.1, seed=3)
+        u = np.array([0.05, -0.1, 0.08, 0.02])
+        k = 0.5 * chart.fd_step
+
+        def field(v):
+            return np.outer(np.sin(v), np.cos(v)) + np.diag(v)
+
+        gamma = christoffel(chart, u)
+        expect = []
+        for a in range(chart.dim):
+            e = np.zeros(chart.dim)
+            e[a] = k
+            dphi = (-field(u + 2 * e) + 8 * field(u + e) - 8 * field(u - e) + field(u - 2 * e)) / (
+                12 * k
+            )
+            expect.append(dphi + gamma[:, a, :] @ field(u) - field(u) @ gamma[:, a, :])
+        got = covariant_derivative_endo(chart, field, u)
+        assert max_abs(got - np.array(expect)) <= 1e-12
 
     def test_constant_endo_on_flat_is_parallel(self):
         val = np.diag([1.0, 2.0, 3.0])

@@ -88,6 +88,36 @@ class TestConfigParsing:
         )
         assert code == 2
 
+    def test_unequal_point_flags(self, capsys):
+        code, _, err = run(
+            capsys, "analyze", "--model", "sphere:m=3", "--point", "0.1,0.2", "--point", "0.1"
+        )
+        assert code == 2
+        assert "coordinates" in err
+
+    def test_unequal_config_points(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            json.dumps(
+                {"model": {"name": "sphere", "params": {"m": 3}}, "points": [[0.1, 0.2, 0.1], [0.1]]}
+            )
+        )
+        code, _, err = run(capsys, "analyze", str(cfg))
+        assert code == 2
+        assert "coordinates" in err
+
+    def test_scalar_constant_flag(self, capsys):
+        code, _, err = run(capsys, "analyze", "--model", "polynomial:constant=1")
+        assert code == 2
+        assert "square" in err
+
+    def test_scalar_constant_metric(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"metric": {"constant": 5}}))
+        code, _, err = run(capsys, "analyze", str(cfg))
+        assert code == 2
+        assert "square" in err
+
     def test_stdin_config(self, capsys, monkeypatch):
         payload = json.dumps(
             {"model": {"name": "space_form", "params": {"m": 4, "lambda0": 1.0}}}

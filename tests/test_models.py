@@ -216,6 +216,11 @@ class TestPolynomialChart:
         with pytest.raises(ValueError, match="symmetric"):
             polynomial_metric_chart(np.eye(2), quadratic=quad)
 
+    @pytest.mark.parametrize("constant", [5.0, [1.0, 2.0], np.zeros((2, 3))])
+    def test_rejects_non_square_constant(self, constant):
+        with pytest.raises(ValueError, match="square"):
+            polynomial_metric_chart(np.asarray(constant))
+
     def test_rejects_wrong_shapes(self):
         with pytest.raises(ValueError, match="shapes"):
             polynomial_metric_chart(np.eye(2), linear=np.zeros((3, 2, 2)))

@@ -4,12 +4,21 @@ Each example builds its tensors from a numpy generator seeded by the
 drawn integer, so a failing example shrinks to a seed that reproduces it.
 """
 
+from collections import Counter
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from weylgeom.classifier import analyze_point, classify_act, consensus_profile, recover_phi
+from weylgeom.classifier import (
+    _modal_profile,
+    analyze_point,
+    classify_act,
+    consensus_profile,
+    recover_phi,
+)
 from weylgeom.curvature_algebra import a_phi, complex_space_form_act, r0, random_act
 from weylgeom.models import standard_phi
+from weylgeom.spectral import cluster_spectrum
 from weylgeom.tensor_core import CurvatureTensor, InnerProduct, max_abs, transform_tensor
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -87,3 +96,49 @@ def test_a_phi_is_even(m, seed):
     phi = raw - raw.T
     g = InnerProduct.euclidean(m)
     assert np.array_equal(a_phi(-phi, g).components, a_phi(phi, g).components)
+
+
+def counter_vote(rows, cluster_tol):
+    """The modal profile voted by multiplicity signature, one clustered
+    profile per row; ties go to the earliest row."""
+    profiles = [cluster_spectrum(row, cluster_tol) for row in rows]
+    counts = Counter(pr.multiplicities for pr in profiles)
+    top = max(counts.values())
+    i = next(i for i, pr in enumerate(profiles) if counts[pr.multiplicities] == top)
+    return profiles[i], i
+
+
+def clustered_row(rng, sizes):
+    """Ascending row with clusters of the given sizes, spread below 1e-9."""
+    levels = np.cumsum(rng.uniform(0.5, 3.0, len(sizes))) - 2.0
+    return np.sort(np.repeat(levels, sizes) + rng.uniform(0.0, 1e-9, sum(sizes)))
+
+
+def composition(rng, width):
+    """Random cluster sizes summing to width."""
+    cuts = np.flatnonzero(rng.random(width - 1) < 0.4) + 1
+    return np.diff(np.concatenate(([0], cuts, [width])))
+
+
+@PROPERTY_SETTINGS
+@given(SEEDS, st.sampled_from((1e-8, 1e-6, 0.3)))
+def test_modal_profile_matches_counter_vote(seed, cluster_tol):
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(2, 9))
+    rows = np.array([clustered_row(rng, composition(rng, width)) for _ in range(int(rng.integers(1, 40)))])
+    assert _modal_profile(rows, cluster_tol) == counter_vote(rows, cluster_tol)
+
+
+@PROPERTY_SETTINGS
+@given(SEEDS)
+def test_modal_profile_breaks_ties_like_counter_vote(seed):
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(3, 9))
+    first = composition(rng, width)
+    second = first
+    while np.array_equal(second, first):
+        second = composition(rng, width)
+    copies = int(rng.integers(1, 6))
+    rows = np.array([clustered_row(rng, sizes) for sizes in [first, second] * copies])
+    rows = rows[rng.permutation(len(rows))]
+    assert _modal_profile(rows, 1e-6) == counter_vote(rows, 1e-6)
