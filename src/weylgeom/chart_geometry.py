@@ -9,6 +9,9 @@ second derivatives and for differencing the curvature tensor itself.
 The graded steps keep truncation and roundoff balanced for O(1)
 charts in 64 bit floats; the fourth order stencil buys about three
 decades of Bianchi residual on stiff charts over the three point one.
+The nested stencil points of one curvature evaluation reach the metric
+through MetricChart.metric_stack, a block of points per metric_at call
+when the chart is stacked.
 
 Sign convention: R_ijkl = g(R(del_i, del_j) del_k, del_l) with
 R(x, y) = grad_x grad_y - grad_y grad_x - grad_[x,y], oriented so the
@@ -103,6 +106,13 @@ class MetricChart:
     d_metric(u)[a, i, j] and d2_metric(u)[a, b, i, j] hold the first and
     second coordinate derivatives of the metric when supplied; both must
     be present for the chart to count as analytic.
+
+    A chart that sets ``stacked`` declares that metric_at also maps a
+    stack of points, shape (N, m), to a stack of metrics, shape
+    (N, m, m), evaluating each point as the single point call would.
+    Finite difference stencils then reach metric_at in blocks of points
+    instead of one call per point; without the flag every point is its
+    own call.  Derivative callbacks always take one point.
     """
 
     dim: int
@@ -112,6 +122,7 @@ class MetricChart:
     d2_metric: Callable[[np.ndarray], np.ndarray] | None = None
     fd_step: float = DEFAULT_FD_STEP
     name: str = ""
+    stacked: bool = False
 
     @property
     def analytic(self) -> bool:
@@ -133,22 +144,48 @@ class MetricChart:
         """
         return 3.0 * self.fd_step if self.analytic else 5.0 * self.step2
 
+    def metric_stack(self, us: np.ndarray) -> np.ndarray:
+        """Unvalidated metric_at values at a stack of points, (N, m) to
+        (N, m, m): one callback call for a stacked chart, one per point
+        otherwise."""
+        us = np.asarray(us, dtype=float)
+        if self.stacked:
+            g = np.asarray(self.metric_at(us), dtype=float)
+        else:
+            g = np.array([np.asarray(self.metric_at(u), dtype=float) for u in us])
+        if g.shape != (len(us), self.dim, self.dim):
+            raise ValueError(f"metric callback returned shape {g.shape} for {len(us)} point(s)")
+        return g
+
+    def _validated(self, us: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Symmetrized metrics g at the points us after the finiteness,
+        symmetry and positivity checks; the first offending point in
+        stack order raises, with its coordinates in the message."""
+        finite = np.isfinite(g).all(axis=(1, 2))
+        gt = g.transpose(0, 2, 1)
+        with np.errstate(invalid="ignore"):
+            scale = np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
+            asym = np.abs(g - gt).max(axis=(1, 2)) > 1e-9 * scale
+        sym = 0.5 * (g + gt)
+        bad = ~finite | asym
+        first = int(bad.argmax()) if bad.any() else len(g)
+        try:
+            np.linalg.cholesky(sym[:first])
+        except np.linalg.LinAlgError as exc:
+            u = next(u for u, s in zip(us, sym) if not _positive_definite(s))
+            raise DomainError(f"metric is singular or indefinite at u={u}") from exc
+        if first < len(g):
+            u = us[first]
+            if not finite[first]:
+                raise DomainError(f"metric is not finite at u={u}")
+            raise ValueError(f"metric is not symmetric at u={u}")
+        return sym
+
     def metric(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.dim,):
             raise ValueError(f"point shape {u.shape} does not match chart dimension {self.dim}")
-        g = np.asarray(self.metric_at(u), dtype=float)
-        if g.shape != (self.dim, self.dim):
-            raise ValueError(f"metric callback returned shape {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise DomainError(f"metric is not finite at u={u}")
-        if max_abs(g - g.T) > 1e-9 * max(1.0, max_abs(g)):
-            raise ValueError(f"metric is not symmetric at u={u}")
-        try:
-            np.linalg.cholesky(0.5 * (g + g.T))
-        except np.linalg.LinAlgError as exc:
-            raise DomainError(f"metric is singular or indefinite at u={u}") from exc
-        return 0.5 * (g + g.T)
+        return self._validated(u[None], self.metric_stack(u[None]))[0]
 
     def require_interior(self, u: np.ndarray, extent: float) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -163,42 +200,93 @@ class MetricChart:
         return self.domain.interior_sample(count, seed, dim=self.dim)
 
 
-def _gradient(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray, reach: float) -> np.ndarray:
-    """Fourth order central differences of f along every coordinate,
-    stacked on axis 0.
+def _positive_definite(g: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    Evaluates at u +- reach/2 and u +- reach, so the stencil never
-    leaves a ball of the given reach around u; truncation O(reach^4).
-    """
+
+# Metric values of one block of stacked stencil points stay within this
+# many floats, so the nested stencils of a finite difference curvature
+# evaluation do not raise the process's memory high-water mark.
+_STACK_FLOATS = 2**13
+
+
+def _stencil(u: np.ndarray, reach: float) -> np.ndarray:
+    """The 4m points of the fourth order central stencil around each
+    point of u, shape (..., m) to (..., 4m, m): axis by axis, the
+    offsets +reach, +reach/2, -reach/2 and -reach along it."""
     k = 0.5 * reach
+    m = u.shape[-1]
+    steps = np.array([2.0 * k, k, -k, -2.0 * k])
+    return u[..., None, :] + (np.eye(m)[:, None, :] * steps[:, None]).reshape(4 * m, m)
+
+
+def _by_offset(f: np.ndarray, axis: int) -> np.ndarray:
+    """Values at _stencil points, which run along `axis`, as four arrays
+    stacked on axis 0, one per offset; the coordinate index of the
+    stencil takes the place of `axis`."""
+    return np.moveaxis(f.reshape(f.shape[:axis] + (-1, 4) + f.shape[axis + 1 :]), axis + 1, 0)
+
+
+def _central(f, reach: float) -> np.ndarray:
+    """Fourth order central difference from the four values f at the
+    offsets +reach, +reach/2, -reach/2 and -reach along one axis.
+
+    The stencil never leaves a ball of the given reach around its
+    centre; truncation O(reach^4).
+    """
+    fp2, fp1, fm1, fm2 = f
+    k = 0.5 * reach
+    return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * k)
+
+
+def _gradient(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray, reach: float) -> np.ndarray:
+    """Central differences of f along every coordinate, stacked on axis 0,
+    from one call of f per stencil point; one axis of values is alive at
+    a time."""
+    points = _stencil(u, reach)
     out = None
     for a in range(len(u)):
-        e = np.zeros(len(u))
-        e[a] = k
-        fp2 = np.asarray(f(u + 2.0 * e), dtype=float)
-        fp1 = np.asarray(f(u + e), dtype=float)
-        fm1 = np.asarray(f(u - e), dtype=float)
-        fm2 = np.asarray(f(u - 2.0 * e), dtype=float)
+        values = [np.asarray(f(v), dtype=float) for v in points[4 * a : 4 * a + 4]]
         if out is None:
-            out = np.empty((len(u),) + fp2.shape)
-        out[a] = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * k)
+            out = np.empty((len(u),) + values[0].shape)
+        out[a] = _central(values, reach)
+        del values
     return out
 
 
-def _metric_d1(chart: MetricChart, u: np.ndarray) -> np.ndarray:
-    """First derivatives dg[a, i, j] = d_a g_ij, analytic or central."""
+def _metric_jet(chart: MetricChart, centres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validated metrics g[n, i, j] and first derivatives dg[n, a, i, j]
+    at a stack of points.
+
+    Without a d_metric callback, dg is a central difference at reach
+    fd_step, and each point with its stencil is evaluated in one stack;
+    only the metrics at the points themselves are validated.
+    """
     if chart.d_metric is not None:
-        return np.asarray(chart.d_metric(u), dtype=float)
-    return _gradient(chart.metric_at, u, chart.fd_step)
+        g = chart._validated(centres, chart.metric_stack(centres))
+        return g, np.array([np.asarray(chart.d_metric(c), dtype=float) for c in centres])
+    n, m = centres.shape
+    width = 4 * m + 1
+    per_block = max(1, _STACK_FLOATS // (width * m * m))
+    raw = np.empty((n, m, m))
+    dg = np.empty((n, m, m, m))
+    for lo in range(0, n, per_block):
+        c = centres[lo : lo + per_block]
+        points = np.concatenate([c[:, None], _stencil(c, chart.fd_step)], axis=1)
+        values = chart.metric_stack(points.reshape(-1, m)).reshape(len(c), width, m, m)
+        raw[lo : lo + len(c)] = values[:, 0]
+        dg[lo : lo + len(c)] = _central(_by_offset(values[:, 1:], 1), chart.fd_step)
+    return chart._validated(centres, raw), dg
 
 
 def _christoffel_from(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    s = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, s)
-
-
-def _gamma_at(chart: MetricChart, u: np.ndarray) -> np.ndarray:
-    return _christoffel_from(np.linalg.inv(chart.metric(u)), _metric_d1(chart, u))
+    """Gamma[n, k, i, j] from stacks g^-1[n, k, l] and dg[n, a, i, j]."""
+    s = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    return 0.5 * np.einsum("nkl,nijl->nkij", ginv, s)
 
 
 def christoffel(chart: MetricChart, u: np.ndarray) -> np.ndarray:
@@ -206,13 +294,14 @@ def christoffel(chart: MetricChart, u: np.ndarray) -> np.ndarray:
 
     Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
     """
-    return _gamma_at(chart, chart.require_interior(u, extent=2.0 * chart.fd_step))
+    u = chart.require_interior(u, extent=2.0 * chart.fd_step)
+    g, dg = _metric_jet(chart, u[None])
+    return _christoffel_from(np.linalg.inv(g), dg)[0]
 
 
 def _christoffel_d1(chart: MetricChart, u: np.ndarray, ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """dGamma[a, k, i, j] = d_a Gamma^k_ij, given g^-1 and dg at u."""
-    if not chart.analytic:
-        return _gradient(lambda v: _gamma_at(chart, v), u, chart.step2)
+    """dGamma[a, k, i, j] = d_a Gamma^k_ij of an analytic chart, given
+    g^-1 and dg at u."""
     d2g = np.asarray(chart.d2_metric(u), dtype=float)
     d2g = 0.5 * (d2g + np.swapaxes(d2g, 0, 1))
     dginv = -(ginv @ dg @ ginv)
@@ -236,21 +325,29 @@ def _symmetrize_curvature(c: np.ndarray) -> np.ndarray:
 
 
 def _curvature(chart: MetricChart, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Riemann components, metric and Gamma at u, each chart callback
-    evaluated once at u; no domain check."""
-    g = chart.metric(u)
-    ginv = np.linalg.inv(g)
-    dg = _metric_d1(chart, u)
-    gamma = _christoffel_from(ginv, dg)
+    """Riemann components, metric and Gamma at u; no domain check.
+
+    An analytic chart evaluates each callback once at u.  Otherwise
+    dGamma is a central difference of Gamma at reach step2, and the
+    metric jets at u and at that stencil's points come from one
+    _metric_jet stack.
+    """
+    centres = u[None] if chart.analytic else np.concatenate([u[None], _stencil(u, chart.step2)])
+    gs, dgs = _metric_jet(chart, centres)
+    ginvs = np.linalg.inv(gs)
+    gammas = _christoffel_from(ginvs, dgs)
+    g, gamma = gs[0], gammas[0]
+    if chart.analytic:
+        dgamma = _christoffel_d1(chart, u, ginvs[0], dgs[0])
+    else:
+        dgamma = _central(_by_offset(gammas[1:], 0), chart.step2)
     # R_ijkl = g_sl (d_i Gamma^s_jk + Gamma^s_it Gamma^t_jk) minus the
     # same with i and j swapped: lower once, then antisymmetrize.
-    upper = _christoffel_d1(chart, u, ginv, dg) + np.swapaxes(
-        np.tensordot(gamma, gamma, axes=([2], [0])), 0, 1
-    )
+    upper = dgamma + np.swapaxes(np.tensordot(gamma, gamma, axes=([2], [0])), 0, 1)
     lowered = np.tensordot(upper, g, axes=([1], [0]))
     comps = lowered - np.swapaxes(lowered, 0, 1)
-    # Stencils call metric_at directly, so a non-finite value off the
-    # centre point first shows here.
+    # Only the metrics at the Gamma stencil points are validated, so a
+    # non-finite value at a dg stencil point first shows here.
     if not np.all(np.isfinite(comps)):
         raise DomainError(f"curvature is not finite at u={u}")
     return _symmetrize_curvature(comps), g, gamma
@@ -332,7 +429,9 @@ def conformal_rescale(
     Positivity is checked on a deterministic sample of interior points
     at construction.  Analytic derivative mode survives only when the
     base chart is analytic and both alpha derivative callbacks are
-    supplied; otherwise the result degrades to finite differences.
+    supplied; otherwise the result degrades to finite differences.  The
+    result is stacked when the base chart is; alpha is still called
+    once per point.
     """
     for p in chart.probe_points(check_points, seed=0):
         val = float(alpha(p))
@@ -342,7 +441,10 @@ def conformal_rescale(
     base_metric = chart.metric_at
 
     def scaled_metric(u: np.ndarray) -> np.ndarray:
-        return float(alpha(u)) * np.asarray(base_metric(u), dtype=float)
+        # alpha takes one point, also when a stacked chart passes a stack.
+        u = np.asarray(u, dtype=float)
+        scale = np.array([float(alpha(p)) for p in u.reshape(-1, chart.dim)])
+        return scale.reshape(u.shape[:-1] + (1, 1)) * np.asarray(base_metric(u), dtype=float)
 
     new_d1 = None
     new_d2 = None

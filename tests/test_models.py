@@ -1,5 +1,7 @@
 """Built-in geometries and the model registry."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -224,6 +226,45 @@ class TestPolynomialChart:
     def test_rejects_wrong_shapes(self):
         with pytest.raises(ValueError, match="shapes"):
             polynomial_metric_chart(np.eye(2), linear=np.zeros((3, 2, 2)))
+
+
+def _polynomial_example():
+    rng = np.random.default_rng(4)
+    lin = 0.1 * rng.uniform(-1.0, 1.0, (3, 3, 3))
+    quad = 0.1 * rng.uniform(-1.0, 1.0, (3, 3, 3, 3))
+    lin = 0.5 * (lin + np.swapaxes(lin, 1, 2))
+    quad = 0.5 * (quad + np.swapaxes(quad, 2, 3))
+    return polynomial_metric_chart(np.diag([2.0, 1.0, 1.5]), lin, quad)
+
+
+STACKED_MODELS = {
+    "flat": lambda: flat_chart(4),
+    "sphere": lambda: sphere_chart(5, 2.0),
+    "hyperbolic": lambda: hyperbolic_chart(4),
+    "fubini_study": lambda: fubini_study_chart(3),
+    "complex_hyperbolic": lambda: complex_hyperbolic_chart(3),
+    "perturbed_flat": lambda: perturbed_flat_chart(5, 0.1, seed=2),
+    "polynomial": _polynomial_example,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_MODELS))
+class TestStackedMetric:
+    def test_stack_matches_single_points(self, name):
+        chart = STACKED_MODELS[name]()
+        assert chart.stacked
+        us = chart.probe_points(50, seed=3)
+        stack = chart.metric_at(us)
+        single = np.array([chart.metric_at(u) for u in us])
+        assert stack.shape == (50, chart.dim, chart.dim)
+        assert max_abs(stack - single) <= 1e-15 * max_abs(single)
+
+    def test_fd_curvature_matches_point_loop(self, name):
+        chart = dataclasses.replace(STACKED_MODELS[name](), d_metric=None, d2_metric=None)
+        u = np.full(chart.dim, 0.05)
+        stacked = riemann_at(chart, u)[0].components
+        looped = riemann_at(dataclasses.replace(chart, stacked=False), u)[0].components
+        assert max_abs(stacked - looped) <= 1e-8
 
 
 class TestRegistry:

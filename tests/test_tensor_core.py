@@ -170,6 +170,18 @@ class TestTransformTensor:
         with pytest.raises(ValueError):
             transform_tensor(a, np.eye(3))
 
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_matches_einsum_reference(self, m):
+        rng = np.random.default_rng(m)
+        g = InnerProduct.euclidean(m)
+        psis = [rng.uniform(-1, 1, (m, m)) for _ in range(3)]
+        a = sum_psi_generators([0.5 * (p + p.T) for p in psis], rng.uniform(-1, 1, 3), g)
+        b = rng.standard_normal((m, m))
+        expect = np.einsum("abcd,ai,bj,ck,dl->ijkl", a.components, b, b, b, b)
+        got = transform_tensor(a, b)
+        assert max_abs(got.components - expect) <= 1e-12 * max_abs(expect)
+        assert_allclose(got.metric.g, b.T @ g.g @ b)
+
 
 class TestHermitianStructure:
     def test_standard_block_structure_validates(self):
