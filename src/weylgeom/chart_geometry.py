@@ -9,9 +9,9 @@ second derivatives and for differencing the curvature tensor itself.
 The graded steps keep truncation and roundoff balanced for O(1)
 charts in 64 bit floats; the fourth order stencil buys about three
 decades of Bianchi residual on stiff charts over the three point one.
-The nested stencil points of one curvature evaluation reach the metric
-through MetricChart.metric_stack, a block of points per metric_at call
-when the chart is stacked.
+Curvature is evaluated on a stack of points at once: the metric, its
+derivatives, Gamma, dGamma and R are batched over the stack, and every
+callback sees a block of points per call when the chart is stacked.
 
 Sign convention: R_ijkl = g(R(del_i, del_j) del_k, del_l) with
 R(x, y) = grad_x grad_y - grad_y grad_x - grad_[x,y], oriented so the
@@ -107,12 +107,13 @@ class MetricChart:
     second coordinate derivatives of the metric when supplied; both must
     be present for the chart to count as analytic.
 
-    A chart that sets ``stacked`` declares that metric_at also maps a
-    stack of points, shape (N, m), to a stack of metrics, shape
-    (N, m, m), evaluating each point as the single point call would.
-    Finite difference stencils then reach metric_at in blocks of points
+    A chart that sets ``stacked`` declares that each of its callbacks
+    also maps a stack of points, shape (N, m), to a stack of values:
+    metric_at to (N, m, m), d_metric to (N, m, m, m) and d2_metric to
+    (N, m, m, m, m), evaluating each point as the single point call
+    would.  Curvature then reaches the callbacks in blocks of points
     instead of one call per point; without the flag every point is its
-    own call.  Derivative callbacks always take one point.
+    own call.
     """
 
     dim: int
@@ -144,18 +145,18 @@ class MetricChart:
         """
         return 3.0 * self.fd_step if self.analytic else 5.0 * self.step2
 
-    def metric_stack(self, us: np.ndarray) -> np.ndarray:
-        """Unvalidated metric_at values at a stack of points, (N, m) to
-        (N, m, m): one callback call for a stacked chart, one per point
-        otherwise."""
+    def callback_stack(self, f: Callable, us: np.ndarray, rank: int) -> np.ndarray:
+        """Values of the callback f (metric_at, d_metric or d2_metric,
+        whose values have `rank` axes of length m) at a stack of points:
+        one call for a stacked chart, one per point otherwise."""
         us = np.asarray(us, dtype=float)
         if self.stacked:
-            g = np.asarray(self.metric_at(us), dtype=float)
+            out = np.asarray(f(us), dtype=float)
         else:
-            g = np.array([np.asarray(self.metric_at(u), dtype=float) for u in us])
-        if g.shape != (len(us), self.dim, self.dim):
-            raise ValueError(f"metric callback returned shape {g.shape} for {len(us)} point(s)")
-        return g
+            out = np.array([np.asarray(f(u), dtype=float) for u in us])
+        if out.shape != (len(us),) + (self.dim,) * rank:
+            raise ValueError(f"callback returned shape {out.shape} for {len(us)} point(s)")
+        return out
 
     def _validated(self, us: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Symmetrized metrics g at the points us after the finiteness,
@@ -185,7 +186,7 @@ class MetricChart:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.dim,):
             raise ValueError(f"point shape {u.shape} does not match chart dimension {self.dim}")
-        return self._validated(u[None], self.metric_stack(u[None]))[0]
+        return self._validated(u[None], self.callback_stack(self.metric_at, u[None], 2))[0]
 
     def require_interior(self, u: np.ndarray, extent: float) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -212,6 +213,14 @@ def _positive_definite(g: np.ndarray) -> bool:
 # many floats, so the nested stencils of a finite difference curvature
 # evaluation do not raise the process's memory high-water mark.
 _STACK_FLOATS = 2**13
+
+# One block of curvature evaluations holds at most this many floats of
+# per-point temporaries: m^4 for an analytic chart; otherwise three times
+# the (4m + 1) m^3 of the Gamma stencil, which is alive with dg and S
+# while the Christoffel symbols are formed.  Stacking pays while the
+# temporaries stay in cache; at m = 16 one analytic point per block is
+# fastest.
+_CURVATURE_FLOATS = 2**16
 
 
 def _stencil(u: np.ndarray, reach: float) -> np.ndarray:
@@ -267,8 +276,8 @@ def _metric_jet(chart: MetricChart, centres: np.ndarray) -> tuple[np.ndarray, np
     only the metrics at the points themselves are validated.
     """
     if chart.d_metric is not None:
-        g = chart._validated(centres, chart.metric_stack(centres))
-        return g, np.array([np.asarray(chart.d_metric(c), dtype=float) for c in centres])
+        g = chart._validated(centres, chart.callback_stack(chart.metric_at, centres, 2))
+        return g, chart.callback_stack(chart.d_metric, centres, 3)
     n, m = centres.shape
     width = 4 * m + 1
     per_block = max(1, _STACK_FLOATS // (width * m * m))
@@ -277,16 +286,27 @@ def _metric_jet(chart: MetricChart, centres: np.ndarray) -> tuple[np.ndarray, np
     for lo in range(0, n, per_block):
         c = centres[lo : lo + per_block]
         points = np.concatenate([c[:, None], _stencil(c, chart.fd_step)], axis=1)
-        values = chart.metric_stack(points.reshape(-1, m)).reshape(len(c), width, m, m)
+        values = chart.callback_stack(chart.metric_at, points.reshape(-1, m), 2)
+        values = values.reshape(len(c), width, m, m)
         raw[lo : lo + len(c)] = values[:, 0]
         dg[lo : lo + len(c)] = _central(_by_offset(values[:, 1:], 1), chart.fd_step)
     return chart._validated(centres, raw), dg
 
 
+def _first_kind(dg: np.ndarray) -> np.ndarray:
+    """S[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij from dg[..., a, i, j];
+    applied to second derivatives d2g[..., b, a, i, j] it gives d_b S."""
+    s = dg + np.swapaxes(dg, -3, -2)
+    s -= np.moveaxis(dg, -3, -1)
+    return s
+
+
 def _christoffel_from(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Gamma[n, k, i, j] from stacks g^-1[n, k, l] and dg[n, a, i, j]."""
-    s = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-    return 0.5 * np.einsum("nkl,nijl->nkij", ginv, s)
+    n, m = ginv.shape[:2]
+    gamma = ginv @ np.swapaxes(_first_kind(dg).reshape(n, m * m, m), 1, 2)
+    gamma *= 0.5
+    return gamma.reshape(n, m, m, m)
 
 
 def christoffel(chart: MetricChart, u: np.ndarray) -> np.ndarray:
@@ -299,81 +319,129 @@ def christoffel(chart: MetricChart, u: np.ndarray) -> np.ndarray:
     return _christoffel_from(np.linalg.inv(g), dg)[0]
 
 
-def _christoffel_d1(chart: MetricChart, u: np.ndarray, ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """dGamma[a, k, i, j] = d_a Gamma^k_ij of an analytic chart, given
-    g^-1 and dg at u."""
-    d2g = np.asarray(chart.d2_metric(u), dtype=float)
-    d2g = 0.5 * (d2g + np.swapaxes(d2g, 0, 1))
-    dginv = -(ginv @ dg @ ginv)
-    s = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
-    # d_a S_ijl from the symmetrized second derivatives.
-    ds = d2g + np.transpose(d2g, (0, 2, 1, 3)) - np.transpose(d2g, (0, 2, 3, 1))
-    # [a, k, i, j] = dginv[a, k, l] s[i, j, l] + ginv[k, l] ds[a, i, j, l]
-    return 0.5 * (np.tensordot(dginv, s, axes=([2], [2])) + np.moveaxis(ds @ ginv.T, 3, 1))
+def _christoffel_d1(
+    chart: MetricChart, us: np.ndarray, ginv: np.ndarray, gamma: np.ndarray, dg: np.ndarray
+) -> np.ndarray:
+    """dGamma[n, a, k, i, j] = d_a Gamma^k_ij of an analytic chart at a
+    stack of points, given g^-1, Gamma and dg there.
+
+    d_a Gamma = -g^-1 (d_a g) Gamma + (1/2) g^-1 d_a S.
+    """
+    n, m = us.shape
+    d2g = chart.callback_stack(chart.d2_metric, us, 4)
+    d2g = 0.5 * (d2g + np.swapaxes(d2g, 1, 2))
+    # [n, a, k, l] = (g^-1 d_a g)^k_l, then contracted with Gamma^l_ij.
+    dginv_g = (ginv[:, None] @ dg).reshape(n, m * m, m)
+    first = dginv_g @ gamma.reshape(n, m, m * m)
+    # [n, a, k, ij] = g^kl d_a S_ijl.
+    ds = _first_kind(d2g).reshape(n, m, m * m, m)
+    second = ginv[:, None] @ np.swapaxes(ds, 2, 3)
+    return (0.5 * second.reshape(n, m * m, m * m) - first).reshape((n,) + (m,) * 4)
 
 
 def _symmetrize_curvature(c: np.ndarray) -> np.ndarray:
-    """Project onto the pair antisymmetry + pair interchange class.
+    """Project onto the pair antisymmetry + pair interchange class, over
+    the last four axes.
 
     The true curvature tensor lies in this class exactly, so the
     projection only removes finite difference error.  The cyclic
     identity is deliberately not enforced; it stays a live diagnostic.
     """
-    c = 0.5 * (c - np.swapaxes(c, 0, 1))
-    c = 0.5 * (c - np.swapaxes(c, 2, 3))
-    return 0.5 * (c + np.transpose(c, (2, 3, 0, 1)))
+    c = 0.5 * (c - np.swapaxes(c, -4, -3))
+    c = 0.5 * (c - np.swapaxes(c, -2, -1))
+    return 0.5 * (c + np.moveaxis(c, (-2, -1), (-4, -3)))
 
 
-def _curvature(chart: MetricChart, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Riemann components, metric and Gamma at u; no domain check.
+def _curvature(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Riemann components R[n, i, j, k, l], metrics g[n] and Gamma[n] at a
+    stack of points us[n]; no domain check.
 
-    An analytic chart evaluates each callback once at u.  Otherwise
-    dGamma is a central difference of Gamma at reach step2, and the
-    metric jets at u and at that stencil's points come from one
-    _metric_jet stack.
+    An analytic chart evaluates each callback once on the stack.
+    Otherwise dGamma is a central difference of Gamma at reach step2,
+    and the metric jets at the points and at their stencils' points
+    come from one _metric_jet stack.
     """
-    centres = u[None] if chart.analytic else np.concatenate([u[None], _stencil(u, chart.step2)])
+    n, m = us.shape
+    if chart.analytic:
+        centres = us
+    else:
+        centres = np.concatenate([us[:, None], _stencil(us, chart.step2)], axis=1).reshape(-1, m)
     gs, dgs = _metric_jet(chart, centres)
     ginvs = np.linalg.inv(gs)
     gammas = _christoffel_from(ginvs, dgs)
-    g, gamma = gs[0], gammas[0]
     if chart.analytic:
-        dgamma = _christoffel_d1(chart, u, ginvs[0], dgs[0])
+        g, gamma = gs, gammas
+        dgamma = _christoffel_d1(chart, us, ginvs, gammas, dgs)
     else:
-        dgamma = _central(_by_offset(gammas[1:], 0), chart.step2)
+        # Copies, so that the stencil stacks are freed before R is formed.
+        width = 4 * m + 1
+        g = gs.reshape(n, width, m, m)[:, 0].copy()
+        gammas = gammas.reshape(n, width, m, m, m)
+        gamma = gammas[:, 0].copy()
+        dgamma = _central(_by_offset(gammas[:, 1:], 1), chart.step2)
+        del gs, dgs, ginvs, gammas
     # R_ijkl = g_sl (d_i Gamma^s_jk + Gamma^s_it Gamma^t_jk) minus the
     # same with i and j swapped: lower once, then antisymmetrize.
-    upper = dgamma + np.swapaxes(np.tensordot(gamma, gamma, axes=([2], [0])), 0, 1)
-    lowered = np.tensordot(upper, g, axes=([1], [0]))
-    comps = lowered - np.swapaxes(lowered, 0, 1)
+    # upper[n, i, s, jk]; Gamma^s_it Gamma^t_jk is [n, (s i), (j k)].
+    squares = (gamma.reshape(n, m * m, m) @ gamma.reshape(n, m, m * m)).reshape(n, m, m, m * m)
+    upper = dgamma.reshape(n, m, m, m * m) + np.swapaxes(squares, 1, 2)
+    # [n, i, jk, l] = upper[n, i, s, jk] g_sl.
+    lowered = (np.swapaxes(upper, 2, 3) @ g[:, None]).reshape((n,) + (m,) * 4)
+    comps = lowered - np.swapaxes(lowered, 1, 2)
     # Only the metrics at the Gamma stencil points are validated, so a
     # non-finite value at a dg stencil point first shows here.
-    if not np.all(np.isfinite(comps)):
-        raise DomainError(f"curvature is not finite at u={u}")
+    finite = np.isfinite(comps).all(axis=(1, 2, 3, 4))
+    if not finite.all():
+        raise DomainError(f"curvature is not finite at u={us[int(finite.argmin())]}")
     return _symmetrize_curvature(comps), g, gamma
+
+
+def _curvature_block(chart: MetricChart) -> int:
+    """Points per _curvature call when many points are evaluated."""
+    m = chart.dim
+    floats = m**4 if chart.analytic else 3 * (4 * m + 1) * m**3
+    return max(1, _CURVATURE_FLOATS // floats)
 
 
 def riemann_at(chart: MetricChart, u: np.ndarray) -> tuple[CurvatureTensor, InnerProduct]:
     """Fully covariant Riemann tensor and the metric at a point."""
     u = chart.require_interior(u, extent=2.0 * (chart.step2 + chart.fd_step))
-    comps, g, _ = _curvature(chart, u)
-    metric = InnerProduct(g)
-    return CurvatureTensor(comps, metric), metric
+    comps, g, _ = _curvature(chart, u[None])
+    metric = InnerProduct(g[0])
+    return CurvatureTensor(comps[0], metric), metric
 
 
 def covariant_derivative_riemann(chart: MetricChart, u: np.ndarray) -> np.ndarray:
     """Covariant derivative of the curvature, components [i, j, k, l, n].
 
     nabla_n R_ijkl = d_n R_ijkl minus one Christoffel correction per
-    tensor slot.
+    tensor slot.  The point and its 4m stencil points are evaluated in
+    blocks of _curvature_block points; the central difference along an
+    axis is taken as soon as its four values are in, so at most one
+    block and one axis of curvature values are alive at a time.
     """
     k3 = chart.step3
+    m = chart.dim
     # Each stencil point moves at most k3 along one axis, so this margin
     # leaves riemann_at's own margin around it: per coordinate for a Box,
     # by the triangle inequality for a Ball.
     u = chart.require_interior(u, extent=k3 + 2.0 * (chart.step2 + chart.fd_step))
-    out = np.moveaxis(_gradient(lambda v: _curvature(chart, v)[0], u, k3), 0, -1)
-    rc, _, gamma = _curvature(chart, u)
+    points = np.concatenate([u[None], _stencil(u, k3)])
+    per_block = _curvature_block(chart)
+    out = np.empty((m,) * 5)
+    axis = 0
+    pending: list[np.ndarray] = []
+    for lo in range(0, len(points), per_block):
+        comps, _, gammas = _curvature(chart, points[lo : lo + per_block])
+        if lo == 0:
+            rc, gamma = comps[0], gammas[0]
+            comps = comps[1:]
+        pending.extend(comps)
+        while len(pending) >= 4:
+            out[axis] = _central(pending[:4], k3)
+            del pending[:4]
+            axis += 1
+    out = np.moveaxis(out, 0, -1)
     # Slot p of R contracted with Gamma^s_np lands as axes (..., n, p);
     # move p back into place.  Subtracting in place keeps one m^5
     # temporary alive at a time.
@@ -430,8 +498,8 @@ def conformal_rescale(
     at construction.  Analytic derivative mode survives only when the
     base chart is analytic and both alpha derivative callbacks are
     supplied; otherwise the result degrades to finite differences.  The
-    result is stacked when the base chart is; alpha is still called
-    once per point.
+    result is stacked when the base chart is; alpha and its derivative
+    callbacks are still called once per point.
     """
     for p in chart.probe_points(check_points, seed=0):
         val = float(alpha(p))
@@ -440,11 +508,15 @@ def conformal_rescale(
 
     base_metric = chart.metric_at
 
+    def per_point(f: Callable, u: np.ndarray, rank: int) -> np.ndarray:
+        # alpha and its derivatives take one point, also when a stacked
+        # chart passes a stack.
+        vals = [np.asarray(f(p), dtype=float) for p in u.reshape(-1, chart.dim)]
+        return np.array(vals).reshape(u.shape[:-1] + (chart.dim,) * rank)
+
     def scaled_metric(u: np.ndarray) -> np.ndarray:
-        # alpha takes one point, also when a stacked chart passes a stack.
         u = np.asarray(u, dtype=float)
-        scale = np.array([float(alpha(p)) for p in u.reshape(-1, chart.dim)])
-        return scale.reshape(u.shape[:-1] + (1, 1)) * np.asarray(base_metric(u), dtype=float)
+        return per_point(alpha, u, 0)[..., None, None] * np.asarray(base_metric(u), dtype=float)
 
     new_d1 = None
     new_d2 = None
@@ -452,26 +524,31 @@ def conformal_rescale(
         base_d1 = chart.d_metric
 
         def scaled_d1(u: np.ndarray) -> np.ndarray:
+            u = np.asarray(u, dtype=float)
             g = np.asarray(base_metric(u), dtype=float)
             dg = np.asarray(base_d1(u), dtype=float)
-            da = np.asarray(d_alpha(u), dtype=float)
-            return float(alpha(u)) * dg + np.einsum("a,ij->aij", da, g)
+            da = per_point(d_alpha, u, 1)
+            return (
+                per_point(alpha, u, 0)[..., None, None, None] * dg
+                + da[..., :, None, None] * g[..., None, :, :]
+            )
 
         new_d1 = scaled_d1
         if d2_alpha is not None:
             base_d2 = chart.d2_metric
 
             def scaled_d2(u: np.ndarray) -> np.ndarray:
+                u = np.asarray(u, dtype=float)
                 g = np.asarray(base_metric(u), dtype=float)
                 dg = np.asarray(base_d1(u), dtype=float)
                 d2g = np.asarray(base_d2(u), dtype=float)
-                da = np.asarray(d_alpha(u), dtype=float)
-                d2a = np.asarray(d2_alpha(u), dtype=float)
+                da = per_point(d_alpha, u, 1)
+                d2a = per_point(d2_alpha, u, 2)
                 return (
-                    float(alpha(u)) * d2g
-                    + np.einsum("ab,ij->abij", d2a, g)
-                    + np.einsum("a,bij->abij", da, dg)
-                    + np.einsum("b,aij->abij", da, dg)
+                    per_point(alpha, u, 0)[..., None, None, None, None] * d2g
+                    + d2a[..., :, :, None, None] * g[..., None, None, :, :]
+                    + da[..., :, None, None, None] * dg[..., None, :, :, :]
+                    + da[..., None, :, None, None] * dg[..., :, None, :, :]
                 )
 
             new_d2 = scaled_d2

@@ -160,8 +160,8 @@ def _as_positive_float(value, key: str) -> float:
 
 
 def _parse_points(raw) -> tuple[tuple[float, ...], ...]:
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigError(f"points must be a list of coordinate lists, got {raw!r}")
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise ConfigError(f"points must be a non-empty list of coordinate lists, got {raw!r}")
     points = []
     for entry in raw:
         if not isinstance(entry, (list, tuple)) or not entry:
@@ -606,8 +606,8 @@ def _verify_chart_point(
     checks = []
     mode = "analytic" if chart.analytic else "fd"
 
-    bianchi = second_bianchi_residual(chart, u)
-    checks.append(_check("second_bianchi", bianchi, BIANCHI_TIER[mode]))
+    nabla_r = covariant_derivative_riemann(chart, u)
+    checks.append(_check("second_bianchi", cyclic_bianchi_residual(nabla_r), BIANCHI_TIER[mode]))
 
     r = riemann_at(chart, u)[0]
     dec = orthonormal_decomposition(r)
@@ -627,7 +627,6 @@ def _verify_chart_point(
         checks.append(_check("structure_anticommutator", anti, KAHLER_TIER))
 
     if debug_corrupt:
-        nabla_r = covariant_derivative_riemann(chart, u).copy()
         nabla_r[0, 0, 0, 0, 1] += 0.1
         corrupted = cyclic_bianchi_residual(nabla_r)
         checks.append(_check("second_bianchi_corrupted", corrupted, BIANCHI_TIER[mode]))

@@ -6,8 +6,10 @@ coordinates, its negative curvature dual, and a seeded perturbed flat
 chart as a negative control.  All charts carry analytic first and
 second metric derivatives, so the tight tolerance tiers apply; the
 curvature pipeline still exercises its finite difference path when a
-chart is rebuilt without callbacks.  Every metric callback broadcasts
-over leading axes of its point argument, so every chart is stacked.
+chart is rebuilt without callbacks.  Every callback, the metric and
+both derivatives, broadcasts over leading axes of its point argument:
+a stack of points of shape (N, m) maps to values of shape (N, m, m),
+(N, m, m, m) and (N, m, m, m, m), so every chart is stacked.
 
 Complex models use interleaved realification: z_j = u_{2j-1} + i u_{2j}
 (one based), with the standard block structure as the complex unit.
@@ -54,8 +56,21 @@ def standard_phi(m: int) -> HermitianStructure:
 
 
 def _square_norm(u: np.ndarray) -> np.ndarray:
-    """|u|^2 over the last axis."""
+    """|u|^2 over the last axis as an elementwise sum, as the metric
+    callbacks round it; finite difference curvature amplifies any change
+    to that rounding."""
     return (u * u).sum(axis=-1)
+
+
+def _dot_square_norm(u: np.ndarray) -> np.ndarray:
+    """|u|^2 over the last axis as the dot product u @ u of each point,
+    as the derivative callbacks round it."""
+    return (u[..., None, :] @ u[..., :, None])[..., 0, 0]
+
+
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Outer products over the last axis, (..., m) to (..., m, m)."""
+    return u[..., :, None] * v[..., None, :]
 
 
 def _linear_quadratic(u: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,14 +89,12 @@ def flat_chart(m: int) -> MetricChart:
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     eye = np.eye(m)
-    zeros1 = np.zeros((m, m, m))
-    zeros2 = np.zeros((m, m, m, m))
     return MetricChart(
         dim=m,
         metric_at=lambda u: np.broadcast_to(eye, np.shape(u)[:-1] + (m, m)),
         domain=Box(-5.0 * np.ones(m), 5.0 * np.ones(m)),
-        d_metric=lambda u: zeros1,
-        d2_metric=lambda u: zeros2,
+        d_metric=lambda u: np.zeros(np.shape(u)[:-1] + (m, m, m)),
+        d2_metric=lambda u: np.zeros(np.shape(u)[:-1] + (m, m, m, m)),
         name=f"flat(m={m})",
         stacked=True,
     )
@@ -96,10 +109,10 @@ def _conformal_chart(m: int, phi0, dphi0, d2phi0, domain, name: str) -> MetricCh
         return np.multiply.outer(phi0(u), eye)
 
     def d1(u):
-        return np.einsum("a,ij->aij", dphi0(u), eye)
+        return dphi0(u)[..., None, None] * eye
 
     def d2(u):
-        return np.einsum("ab,ij->abij", d2phi0(u), eye)
+        return d2phi0(u)[..., None, None] * eye
 
     return MetricChart(
         dim=m, metric_at=metric, domain=domain, d_metric=d1, d2_metric=d2, name=name, stacked=True
@@ -119,11 +132,11 @@ def sphere_chart(m: int, r: float = 1.0) -> MetricChart:
         return c / (r**2 + _square_norm(u)) ** 2
 
     def dphi0(u):
-        return -4.0 * c * u / (r**2 + u @ u) ** 3
+        return -4.0 * c * u / (r**2 + _dot_square_norm(u))[..., None] ** 3
 
     def d2phi0(u):
-        q = r**2 + u @ u
-        return -4.0 * c * np.eye(m) / q**3 + 24.0 * c * np.outer(u, u) / q**4
+        q = (r**2 + _dot_square_norm(u))[..., None, None]
+        return -4.0 * c * np.eye(m) / q**3 + 24.0 * c * _outer(u, u) / q**4
 
     return _conformal_chart(
         m, phi0, dphi0, d2phi0, Box(-3.0 * np.ones(m), 3.0 * np.ones(m)), f"sphere(m={m},r={r})"
@@ -140,11 +153,11 @@ def hyperbolic_chart(m: int) -> MetricChart:
         return 4.0 / (1.0 - _square_norm(u)) ** 2
 
     def dphi0(u):
-        return 16.0 * u / (1.0 - u @ u) ** 3
+        return 16.0 * u / (1.0 - _dot_square_norm(u))[..., None] ** 3
 
     def d2phi0(u):
-        q = 1.0 - u @ u
-        return 16.0 * np.eye(m) / q**3 + 96.0 * np.outer(u, u) / q**4
+        q = (1.0 - _dot_square_norm(u))[..., None, None]
+        return 16.0 * np.eye(m) / q**3 + 96.0 * _outer(u, u) / q**4
 
     return _conformal_chart(m, phi0, dphi0, d2phi0, Ball(1.0, margin=0.1), f"hyperbolic(m={m})")
 
@@ -168,36 +181,41 @@ def _projective_family(n: int, sign: float, domain, name: str) -> MetricChart:
 
     def metric(u):
         v = u @ jmat.T
-        p = u[..., :, None] * u[..., None, :] + v[..., :, None] * v[..., None, :]
+        p = _outer(u, u) + _outer(v, v)
         q = (1.0 + sign * _square_norm(u))[..., None, None]
         return (q * eye - sign * p) / q**2
 
     def first_order(u):
-        """q, dq[a] = d_a q, P and dP[a, i, j] = d_a P_ij at one point."""
-        v = jmat @ u
-        p = np.outer(u, u) + np.outer(v, v)
-        half = eye[:, :, None] * u + jmat.T[:, :, None] * v
-        return 1.0 + sign * float(u @ u), sign * 2.0 * u, p, half + np.transpose(half, (0, 2, 1))
+        """q, dq[a] = d_a q, P and dP[a, i, j] = d_a P_ij, each with the
+        leading axes of u; q is shaped to broadcast against (m, m)."""
+        v = u @ jmat.T
+        p = _outer(u, u) + _outer(v, v)
+        half = eye[:, :, None] * u[..., None, None, :] + jmat.T[:, :, None] * v[..., None, None, :]
+        q = (1.0 + sign * _dot_square_norm(u))[..., None, None]
+        return q, sign * 2.0 * u, p, half + np.swapaxes(half, -1, -2)
 
     def d1(u):
         q, dq, p, dp = first_order(u)
         return (
-            (-dq / q**2)[:, None, None] * eye
-            + (2.0 * sign * dq / q**3)[:, None, None] * p
-            - sign / q**2 * dp
+            (-dq[..., None, None] / q[..., None, :, :] ** 2) * eye
+            + (2.0 * sign * dq[..., None, None] / q[..., None, :, :] ** 3) * p[..., None, :, :]
+            - sign / q[..., None, :, :] ** 2 * dp
         )
 
     def d2(u):
         q, dq, p, dp = first_order(u)
-        dqdq = np.outer(dq, dq)
-        dqab = sign * 2.0 * eye
-        cross = dq[:, None, None, None] * dp[None, :]
-        return (
-            (-dqab / q**2 + 2.0 * dqdq / q**3)[:, :, None, None] * eye
-            + (2.0 * sign * (dqab / q**3 - 3.0 * dqdq / q**4))[:, :, None, None] * p
-            + 2.0 * sign / q**3 * (cross + np.transpose(cross, (1, 0, 2, 3)))
-            - sign / q**2 * d2p
-        )
+        q4 = q[..., None, None, :, :]
+        dqdq = _outer(dq, dq)[..., None, None]
+        dqab = (sign * 2.0 * eye)[..., None, None]
+        # Accumulated in place: at m = 16 each term is 512 KB.
+        out = (-dqab / q4**2 + 2.0 * dqdq / q4**3) * eye
+        out += (2.0 * sign * (dqab / q4**3 - 3.0 * dqdq / q4**4)) * p[..., None, None, :, :]
+        cross = dq[..., :, None, None, None] * dp[..., None, :, :, :]
+        cross = cross + np.swapaxes(cross, -4, -3)
+        cross *= 2.0 * sign / q4**3
+        out += cross
+        out -= sign / q4**2 * d2p
+        return out
 
     return MetricChart(
         dim=m, metric_at=metric, domain=domain, d_metric=d1, d2_metric=d2, name=name, stacked=True
@@ -250,10 +268,10 @@ def perturbed_flat_chart(m: int, eps: float, seed: int) -> MetricChart:
         return eye + eps * (c0 + lin + quad)
 
     def d1(u):
-        return eps * (c1 + 2.0 * np.einsum("b,abij->aij", u, c2))
+        return eps * (c1 + 2.0 * np.tensordot(u, c2, axes=([-1], [1])))
 
     def d2(u):
-        return eps * 2.0 * c2
+        return np.broadcast_to(eps * 2.0 * c2, np.shape(u)[:-1] + c2.shape)
 
     chart = MetricChart(
         dim=m,
@@ -299,10 +317,10 @@ def polynomial_metric_chart(
         return g0 + lin_term + quad_term
 
     def d1(u):
-        return lin + 2.0 * np.einsum("b,abij->aij", u, quad)
+        return lin + 2.0 * np.tensordot(u, quad, axes=([-1], [1]))
 
     def d2(u):
-        return 2.0 * quad
+        return np.broadcast_to(2.0 * quad, np.shape(u)[:-1] + quad.shape)
 
     chart = MetricChart(
         dim=m,

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from weylgeom import cli
+from weylgeom import chart_geometry, cli
 
 
 def run(capsys, *argv):
@@ -105,6 +105,20 @@ class TestConfigParsing:
         code, _, err = run(capsys, "analyze", str(cfg))
         assert code == 2
         assert "coordinates" in err
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"name": "fubini_study", "params": {"n": 2}},
+            {"name": "random", "params": {"seed": 1, "m": 4}},
+        ],
+    )
+    def test_empty_point_list(self, tmp_path, capsys, model):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": model, "points": []}))
+        code, _, err = run(capsys, "analyze", str(cfg))
+        assert code == 2
+        assert "non-empty" in err
 
     def test_scalar_constant_flag(self, capsys):
         code, _, err = run(capsys, "analyze", "--model", "polynomial:constant=1")
@@ -301,6 +315,29 @@ class TestVerify:
         ]
         assert failed
         assert any(c["name"] == "second_bianchi_corrupted" for c in failed)
+
+    def test_corruption_reuses_one_covariant_derivative_per_point(self, capsys, monkeypatch):
+        argv = ("verify", "--model", "sphere:m=3,r=1.0", "--format", "json")
+        _, clean, _ = run(capsys, *argv)
+        calls = []
+        inner = cli.covariant_derivative_riemann
+
+        def counted(chart, u):
+            calls.append(u)
+            return inner(chart, u)
+
+        monkeypatch.setattr(cli, "covariant_derivative_riemann", counted)
+        monkeypatch.setattr(chart_geometry, "covariant_derivative_riemann", counted)
+        code, out, _ = run(capsys, *argv, "--debug-corrupt")
+        assert code == 1
+        doc = json.loads(out)
+        assert len(calls) == len(doc["records"])
+        # Removing the corrupted checks leaves the clean records byte for byte.
+        for rec in doc["records"]:
+            corrupted = [c for c in rec["checks"] if c["name"] == "second_bianchi_corrupted"]
+            assert len(corrupted) == 1 and not corrupted[0]["passed"]
+            rec["checks"].remove(corrupted[0])
+        assert cli.render_json(doc["records"]) == cli.render_json(json.loads(clean)["records"])
 
 
 class TestSpectrum:

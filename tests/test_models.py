@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from weylgeom.chart_geometry import DomainError, MetricChart, riemann_at
+from weylgeom.chart_geometry import (
+    DomainError,
+    MetricChart,
+    conformal_rescale,
+    covariant_derivative_riemann,
+    riemann_at,
+)
 from weylgeom.curvature_algebra import complex_space_form_act, r0
 from weylgeom.models import (
     ALGEBRAIC_MODELS,
@@ -254,10 +260,48 @@ class TestStackedMetric:
         chart = STACKED_MODELS[name]()
         assert chart.stacked
         us = chart.probe_points(50, seed=3)
-        stack = chart.metric_at(us)
-        single = np.array([chart.metric_at(u) for u in us])
-        assert stack.shape == (50, chart.dim, chart.dim)
-        assert max_abs(stack - single) <= 1e-15 * max_abs(single)
+        for rank, f in enumerate((chart.metric_at, chart.d_metric, chart.d2_metric), start=2):
+            stack = f(us)
+            single = np.array([f(u) for u in us])
+            assert stack.shape == (50,) + (chart.dim,) * rank
+            assert max_abs(stack - single) <= 1e-15 * max_abs(single)
+
+    def test_analytic_curvature_matches_point_loop(self, name):
+        chart = STACKED_MODELS[name]()
+        looped = dataclasses.replace(chart, stacked=False)
+        u = np.full(chart.dim, 0.05)
+        r = riemann_at(looped, u)[0].components
+        assert max_abs(riemann_at(chart, u)[0].components - r) <= 1e-15 * max_abs(r)
+        # The central difference multiplies a relative rounding change of
+        # the curvature values by up to its weight sum, 3 / step3; BLAS
+        # rounds a one-point product and a stacked one differently.
+        nabla = covariant_derivative_riemann(looped, u)
+        bound = 1e-15 * max(max_abs(nabla), 3.0 / chart.step3 * max_abs(r))
+        assert max_abs(covariant_derivative_riemann(chart, u) - nabla) <= bound
+
+    def test_rescaled_with_scalar_factor(self, name):
+        # alpha and its derivatives take a single point; the rescaled
+        # chart stays stacked and analytic.
+        base = STACKED_MODELS[name]()
+        w = np.linspace(0.1, 0.3, base.dim)
+
+        def alpha(u):
+            assert u.shape == (base.dim,)
+            return float(np.exp(w @ u))
+
+        chart = conformal_rescale(
+            base, alpha, lambda u: alpha(u) * w, lambda u: alpha(u) * np.outer(w, w)
+        )
+        assert chart.stacked and chart.analytic
+        us = chart.probe_points(50, seed=3)
+        for f in (chart.d_metric, chart.d2_metric):
+            single = np.array([f(u) for u in us])
+            assert max_abs(f(us) - single) <= 1e-15 * max_abs(single)
+        u = np.full(chart.dim, 0.05)
+        fd = dataclasses.replace(chart, d_metric=None, d2_metric=None)
+        expect = riemann_at(fd, u)[0].components
+        got = riemann_at(chart, u)[0].components
+        assert max_abs(got - expect) <= 1e-6 * max(1.0, max_abs(expect))
 
     def test_fd_curvature_matches_point_loop(self, name):
         chart = dataclasses.replace(STACKED_MODELS[name](), d_metric=None, d2_metric=None)
