@@ -252,21 +252,6 @@ def _central(f, reach: float) -> np.ndarray:
     return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * k)
 
 
-def _gradient(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray, reach: float) -> np.ndarray:
-    """Central differences of f along every coordinate, stacked on axis 0,
-    from one call of f per stencil point; one axis of values is alive at
-    a time."""
-    points = _stencil(u, reach)
-    out = None
-    for a in range(len(u)):
-        values = [np.asarray(f(v), dtype=float) for v in points[4 * a : 4 * a + 4]]
-        if out is None:
-            out = np.empty((len(u),) + values[0].shape)
-        out[a] = _central(values, reach)
-        del values
-    return out
-
-
 def _metric_jet(chart: MetricChart, centres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validated metrics g[n, i, j] and first derivatives dg[n, a, i, j]
     at a stack of points.
@@ -353,8 +338,13 @@ def _symmetrize_curvature(c: np.ndarray) -> np.ndarray:
 
 
 def _curvature(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Riemann components R[n, i, j, k, l], metrics g[n] and Gamma[n] at a
+    """Lowered curvature L[n, i, j, k, l], metrics g[n] and Gamma[n] at a
     stack of points us[n]; no domain check.
+
+    L_ijkl = g_sl (d_i Gamma^s_jk + Gamma^s_it Gamma^t_jk) is R before
+    its (i, j) antisymmetrization: R = 2 _symmetrize_curvature(L), bit for
+    bit the projection of L_ijkl - L_jikl.  The projection is linear, so
+    it commutes with a central difference of L.
 
     An analytic chart evaluates each callback once on the stack.
     Otherwise dGamma is a central difference of Gamma at reach step2,
@@ -380,20 +370,17 @@ def _curvature(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, np.ndarr
         gamma = gammas[:, 0].copy()
         dgamma = _central(_by_offset(gammas[:, 1:], 1), chart.step2)
         del gs, dgs, ginvs, gammas
-    # R_ijkl = g_sl (d_i Gamma^s_jk + Gamma^s_it Gamma^t_jk) minus the
-    # same with i and j swapped: lower once, then antisymmetrize.
     # upper[n, i, s, jk]; Gamma^s_it Gamma^t_jk is [n, (s i), (j k)].
     squares = (gamma.reshape(n, m * m, m) @ gamma.reshape(n, m, m * m)).reshape(n, m, m, m * m)
     upper = dgamma.reshape(n, m, m, m * m) + np.swapaxes(squares, 1, 2)
     # [n, i, jk, l] = upper[n, i, s, jk] g_sl.
     lowered = (np.swapaxes(upper, 2, 3) @ g[:, None]).reshape((n,) + (m,) * 4)
-    comps = lowered - np.swapaxes(lowered, 1, 2)
     # Only the metrics at the Gamma stencil points are validated, so a
     # non-finite value at a dg stencil point first shows here.
-    finite = np.isfinite(comps).all(axis=(1, 2, 3, 4))
+    finite = np.isfinite(lowered).all(axis=(1, 2, 3, 4))
     if not finite.all():
         raise DomainError(f"curvature is not finite at u={us[int(finite.argmin())]}")
-    return _symmetrize_curvature(comps), g, gamma
+    return lowered, g, gamma
 
 
 def _curvature_block(chart: MetricChart) -> int:
@@ -406,20 +393,15 @@ def _curvature_block(chart: MetricChart) -> int:
 def riemann_at(chart: MetricChart, u: np.ndarray) -> tuple[CurvatureTensor, InnerProduct]:
     """Fully covariant Riemann tensor and the metric at a point."""
     u = chart.require_interior(u, extent=2.0 * (chart.step2 + chart.fd_step))
-    comps, g, _ = _curvature(chart, u[None])
+    lowered, g, _ = _curvature(chart, u[None])
     metric = InnerProduct(g[0])
-    return CurvatureTensor(comps[0], metric), metric
+    return CurvatureTensor(2.0 * _symmetrize_curvature(lowered[0]), metric), metric
 
 
-def covariant_derivative_riemann(chart: MetricChart, u: np.ndarray) -> np.ndarray:
-    """Covariant derivative of the curvature, components [i, j, k, l, n].
-
-    nabla_n R_ijkl = d_n R_ijkl minus one Christoffel correction per
-    tensor slot.  The point and its 4m stencil points are evaluated in
-    blocks of _curvature_block points; the central difference along an
-    axis is taken as soon as its four values are in, so at most one
-    block and one axis of curvature values are alive at a time.
-    """
+def _riemann_with_derivative(
+    chart: MetricChart, u: np.ndarray
+) -> tuple[CurvatureTensor, np.ndarray]:
+    """riemann_at's tensor and covariant_derivative_riemann from one pass."""
     k3 = chart.step3
     m = chart.dim
     # Each stencil point moves at most k3 along one axis, so this margin
@@ -432,33 +414,43 @@ def covariant_derivative_riemann(chart: MetricChart, u: np.ndarray) -> np.ndarra
     axis = 0
     pending: list[np.ndarray] = []
     for lo in range(0, len(points), per_block):
-        comps, _, gammas = _curvature(chart, points[lo : lo + per_block])
+        lowered, gs, gammas = _curvature(chart, points[lo : lo + per_block])
         if lo == 0:
-            rc, gamma = comps[0], gammas[0]
-            comps = comps[1:]
-        pending.extend(comps)
+            rc = 2.0 * _symmetrize_curvature(lowered[0])
+            g, gamma = gs[0], gammas[0]
+            lowered = lowered[1:]
+        pending.extend(lowered)
         while len(pending) >= 4:
-            out[axis] = _central(pending[:4], k3)
+            d = _central(pending[:4], k3)
             del pending[:4]
+            d -= 2.0 * (gamma[:, axis].T @ rc.reshape(m, -1)).reshape(d.shape)
+            out[axis] = 2.0 * _symmetrize_curvature(d)
             axis += 1
-    out = np.moveaxis(out, 0, -1)
-    # Slot p of R contracted with Gamma^s_np lands as axes (..., n, p);
-    # move p back into place.  Subtracting in place keeps one m^5
-    # temporary alive at a time.
-    for slot in range(4):
-        out -= np.moveaxis(np.tensordot(rc, gamma, axes=([slot], [0])), -1, slot)
-    return out
+    return CurvatureTensor(rc, InnerProduct(g)), np.moveaxis(out, 0, -1)
+
+
+def covariant_derivative_riemann(chart: MetricChart, u: np.ndarray) -> np.ndarray:
+    """Covariant derivative of the curvature, components [i, j, k, l, n].
+
+    nabla_n R = d_n R minus one correction Gamma^s_np R_..s.. per slot p.
+    With P = _symmetrize_curvature and L from _curvature, R = 2 P(L), and
+    P commutes with the central difference.  R lies in P's class, so the
+    four corrections sum to 4 P(C), C[i, jkl] = Gamma^s_ni R_sjkl: slot j
+    follows from i by pair antisymmetry, k and l by pair interchange.
+    Each axis n is one product and one projection, 2 P(d_n L - 2 C),
+    taken once its four stencil values are in; the point and its 4m
+    stencil points are evaluated in blocks of _curvature_block points.
+    """
+    return _riemann_with_derivative(chart, u)[1]
 
 
 def cyclic_bianchi_residual(nabla_r: np.ndarray) -> float:
     """Max-norm of the cyclic sum over the derivative slot and the first
-    two tensor slots; an identity (= 0) for any Levi-Civita curvature."""
-    t = (
-        np.einsum("bckla->abckl", nabla_r)
-        + np.einsum("caklb->abckl", nabla_r)
-        + np.einsum("abklc->abckl", nabla_r)
-    )
-    return max_abs(t)
+    two tensor slots, one m^4 slab per derivative index; an identity
+    (= 0) for any Levi-Civita curvature."""
+    d = np.moveaxis(nabla_r, -1, 0)  # D[a, b, c] + D[b, c, a] + D[c, a, b]
+    slabs = [max_abs(d[a] + d[:, :, a] + np.swapaxes(d[:, a], 0, 1)) for a in range(len(d))]
+    return max_abs(np.array(slabs))
 
 
 def second_bianchi_residual(chart: MetricChart, u: np.ndarray) -> float:
@@ -482,7 +474,8 @@ def covariant_derivative_endo(
     if phi0.shape != (chart.dim, chart.dim):
         raise ValueError(f"endomorphism field returned shape {phi0.shape}")
     ga = np.moveaxis(christoffel(chart, u), 1, 0)
-    return _gradient(phi_field, u, chart.fd_step) + ga @ phi0 - phi0 @ ga
+    values = np.array([np.asarray(phi_field(v), dtype=float) for v in _stencil(u, chart.fd_step)])
+    return _central(_by_offset(values, 0), chart.fd_step) + ga @ phi0 - phi0 @ ga
 
 
 def conformal_rescale(

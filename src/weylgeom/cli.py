@@ -43,13 +43,12 @@ from .spectral import DEFAULT_CLUSTER_TOL, DEFAULT_SAMPLES, trace_check
 from .chart_geometry import (
     DomainError,
     MetricChart,
+    _riemann_with_derivative,
     conformal_rescale,
     covariant_derivative_endo,
-    covariant_derivative_riemann,
     cyclic_bianchi_residual,
     default_probe_points,
     riemann_at,
-    second_bianchi_residual,
 )
 from .classifier import (
     PointAnalysis,
@@ -543,8 +542,8 @@ def cmd_analyze(config: AnalysisConfig) -> tuple[dict, int]:
     )
 
     def at_point(u: np.ndarray) -> dict:
-        r, g = riemann_at(target, u)
-        return _analysis_record(analyze(r), g.g, second_bianchi_residual(target, u))
+        r, nabla_r = _riemann_with_derivative(target, u)
+        return _analysis_record(analyze(r), r.metric.g, cyclic_bianchi_residual(nabla_r))
 
     points, records = _records(
         config, kind, target, name,
@@ -606,10 +605,9 @@ def _verify_chart_point(
     checks = []
     mode = "analytic" if chart.analytic else "fd"
 
-    nabla_r = covariant_derivative_riemann(chart, u)
+    r, nabla_r = _riemann_with_derivative(chart, u)
     checks.append(_check("second_bianchi", cyclic_bianchi_residual(nabla_r), BIANCHI_TIER[mode]))
 
-    r = riemann_at(chart, u)[0]
     dec = orthonormal_decomposition(r)
     checks.append(
         _check("trace_free_jacobi", trace_check(dec.w, samples, seed), TRACE_TIER["chart"])

@@ -8,6 +8,8 @@ import pytest
 
 from weylgeom import chart_geometry, cli
 
+from test_chart_geometry import counted_chart
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -320,14 +322,14 @@ class TestVerify:
         argv = ("verify", "--model", "sphere:m=3,r=1.0", "--format", "json")
         _, clean, _ = run(capsys, *argv)
         calls = []
-        inner = cli.covariant_derivative_riemann
+        inner = chart_geometry._riemann_with_derivative
 
         def counted(chart, u):
             calls.append(u)
             return inner(chart, u)
 
-        monkeypatch.setattr(cli, "covariant_derivative_riemann", counted)
-        monkeypatch.setattr(chart_geometry, "covariant_derivative_riemann", counted)
+        monkeypatch.setattr(cli, "_riemann_with_derivative", counted)
+        monkeypatch.setattr(chart_geometry, "_riemann_with_derivative", counted)
         code, out, _ = run(capsys, *argv, "--debug-corrupt")
         assert code == 1
         doc = json.loads(out)
@@ -338,6 +340,28 @@ class TestVerify:
             assert len(corrupted) == 1 and not corrupted[0]["passed"]
             rec["checks"].remove(corrupted[0])
         assert cli.render_json(doc["records"]) == cli.render_json(json.loads(clean)["records"])
+
+
+class TestChartPointCurvature:
+    @pytest.mark.parametrize("command, counts", [("analyze", (3, 3, 3)), ("verify", (15, 12, 6))])
+    def test_one_curvature_pass_per_point(self, capsys, monkeypatch, command, counts):
+        # metric_at / d_metric / d2_metric calls for the three default
+        # points of fubini_study:n=2: one stacked call each per point for R
+        # and nabla R together (6 per point before R was taken from nabla
+        # R's pass); verify adds the rescaled chart's curvature, 3/2/1
+        # calls of the base callbacks, and the Christoffel symbols of the
+        # structure check, 1/1/0 (18/15/9 before).
+        seen = []
+        build = cli.build_model
+
+        def counted_model(spec):
+            chart, calls = counted_chart(build(spec))
+            seen.append(calls)
+            return chart
+
+        monkeypatch.setattr(cli, "build_model", counted_model)
+        run_json(capsys, command, "--model", "fubini_study:n=2")
+        assert [tuple(calls.values()) for calls in seen] == [counts]
 
 
 class TestSpectrum:
