@@ -11,12 +11,14 @@ import numpy as np
 
 from weylgeom import (
     InnerProduct,
+    complex_hyperbolic_chart,
     complex_space_form_act,
     default_probe_points,
     fubini_study_chart,
     hyperbolic_chart,
     max_abs,
     orthonormal_frame,
+    perturbed_flat_chart,
     r0,
     riemann_at,
     second_bianchi_residual,
@@ -50,3 +52,29 @@ fd = dataclasses.replace(chart, d_metric=None, d2_metric=None)
 for label, c in [("analytic", chart), ("finite difference", fd)]:
     worst = max(second_bianchi_residual(c, p) for p in default_probe_points(c, count=3))
     print(f"second Bianchi, {label:18s} worst residual {worst:.3e}")
+
+# Finite difference curvature comes from one fourth order stencil on the
+# metric.  Its reach, a multiple of sqrt(fd_step), is set by this
+# comparison with the analytic curvature: the largest deviation over
+# three points per chart.
+families = {
+    "sphere": lambda m: sphere_chart(m, 1.0),
+    "hyperbolic": hyperbolic_chart,
+    "perturbed_flat": lambda m: perturbed_flat_chart(m, 0.1, seed=3),
+    "fubini_study": lambda m: fubini_study_chart(m // 2),
+    "complex_hyperbolic": lambda m: complex_hyperbolic_chart(m // 2),
+}
+print("max |R_fd - R_analytic|      m = 4     m = 8    m = 16")
+for name, build in families.items():
+    row = []
+    for m in (4, 8, 16):
+        chart = build(m)
+        fd = dataclasses.replace(chart, d_metric=None, d2_metric=None)
+        rng = np.random.default_rng(m)
+        points = [np.full(m, 0.05), *rng.uniform(-0.1, 0.1, (2, m))]
+        worst = max(
+            max_abs(riemann_at(fd, p)[0].components - riemann_at(chart, p)[0].components)
+            for p in points
+        )
+        row.append(worst)
+    print(f"{name:26s}" + "".join(f"{e:10.2e}" for e in row))

@@ -2,13 +2,14 @@
 covariant derivatives, Bianchi residuals, and conformal rescaling.
 
 A chart supplies the metric as a function of coordinates, optionally
-with analytic first and second derivative callbacks.  Without
-callbacks, derivatives fall back to fourth order central differences:
-reach h for first derivatives, an h^(1/2)-scaled outer reach for
-second derivatives and for differencing the curvature tensor itself.
-The graded steps keep truncation and roundoff balanced for O(1)
-charts in 64 bit floats; the fourth order stencil buys about three
-decades of Bianchi residual on stiff charts over the three point one.
+with analytic first and second derivative callbacks.  Without both,
+one fourth order stencil on the metric, of reach h^(1/2)/4 for h =
+fd_step, gives the metric and its first and second derivatives, and one
+curvature formula serves both modes; differencing the curvature tensor
+itself takes twice that reach.  The reaches, chosen against analytic
+curvature, keep truncation and roundoff balanced for O(1) charts in 64
+bit floats; the fourth order stencil buys about three decades of
+Bianchi residual on stiff charts over the three point one.
 Curvature is evaluated on a stack of points at once: the metric, its
 derivatives, Gamma, dGamma and R are batched over the stack, and every
 callback sees a block of points per call when the chart is stacked.
@@ -105,7 +106,8 @@ class MetricChart:
 
     d_metric(u)[a, i, j] and d2_metric(u)[a, b, i, j] hold the first and
     second coordinate derivatives of the metric when supplied; both must
-    be present for the chart to count as analytic.
+    be present for the chart to count as analytic.  A chart with only
+    one is a finite difference chart, and that callback is not called.
 
     A chart that sets ``stacked`` declares that each of its callbacks
     also maps a stack of points, shape (N, m), to a stack of values:
@@ -131,8 +133,8 @@ class MetricChart:
 
     @property
     def step2(self) -> float:
-        """Outer reach for second derivative stencils."""
-        return 0.1 * np.sqrt(self.fd_step)
+        """Reach of the metric stencil of a finite difference chart."""
+        return 0.25 * np.sqrt(self.fd_step)
 
     @property
     def step3(self) -> float:
@@ -141,9 +143,9 @@ class MetricChart:
         Analytic charts evaluate curvature to near machine precision, so
         a small reach balances the fourth order truncation against eps/h
         roundoff; finite difference charts carry smooth stencil bias and
-        want the wider second derivative reach.
+        want a reach wider than the metric stencil's.
         """
-        return 3.0 * self.fd_step if self.analytic else 5.0 * self.step2
+        return 3.0 * self.fd_step if self.analytic else 2.0 * self.step2
 
     def callback_stack(self, f: Callable, us: np.ndarray, rank: int) -> np.ndarray:
         """Values of the callback f (metric_at, d_metric or d2_metric,
@@ -209,17 +211,11 @@ def _positive_definite(g: np.ndarray) -> bool:
     return True
 
 
-# Metric values of one block of stacked stencil points stay within this
-# many floats, so the nested stencils of a finite difference curvature
-# evaluation do not raise the process's memory high-water mark.
-_STACK_FLOATS = 2**13
-
 # One block of curvature evaluations holds at most this many floats of
-# per-point temporaries: m^4 for an analytic chart; otherwise three times
-# the (4m + 1) m^3 of the Gamma stencil, which is alive with dg and S
-# while the Christoffel symbols are formed.  Stacking pays while the
-# temporaries stay in cache; at m = 16 one analytic point per block is
-# fastest.
+# per-point temporaries: m^4 for an analytic chart; otherwise the metric
+# values at the point's _jet_stencil, about 8 m^4.  Stacking pays while
+# the temporaries stay in cache; at m = 16 one analytic point per block
+# is fastest.
 _CURVATURE_FLOATS = 2**16
 
 
@@ -231,6 +227,18 @@ def _stencil(u: np.ndarray, reach: float) -> np.ndarray:
     m = u.shape[-1]
     steps = np.array([2.0 * k, k, -k, -2.0 * k])
     return u[..., None, :] + (np.eye(m)[:, None, :] * steps[:, None]).reshape(4 * m, m)
+
+
+def _jet_stencil(u: np.ndarray, reach: float) -> np.ndarray:
+    """Each point of u, its 4m _stencil points and, for each axis pair
+    a < b, the 16 points u + s e_a + t e_b over the _stencil offsets s, t
+    (s outer): shape (n, m) to (n, 1 + 4m + 8m(m - 1), m)."""
+    m = u.shape[-1]
+    axis = _stencil(np.zeros(m), reach).reshape(m, 4, m)
+    a, b = np.triu_indices(m, 1)
+    pairs = axis[a][:, :, None] + axis[b][:, None, :]
+    offsets = np.concatenate([np.zeros((1, m)), axis.reshape(-1, m), pairs.reshape(-1, m)])
+    return u[:, None] + offsets
 
 
 def _by_offset(f: np.ndarray, axis: int) -> np.ndarray:
@@ -252,30 +260,38 @@ def _central(f, reach: float) -> np.ndarray:
     return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * k)
 
 
-def _metric_jet(chart: MetricChart, centres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Validated metrics g[n, i, j] and first derivatives dg[n, a, i, j]
-    at a stack of points.
-
-    Without a d_metric callback, dg is a central difference at reach
-    fd_step, and each point with its stencil is evaluated in one stack;
-    only the metrics at the points themselves are validated.
+def _metric_jet(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated metrics g[n, i, j] and derivatives dg[n, a, i, j] and
+    d2g[n, a, b, i, j] at a stack of points, the one place where the
+    derivative mode picks a formula.  An analytic chart calls each
+    callback once.  Otherwise one metric call covers the _jet_stencil
+    points at reach step2, and the differences are fourth order: along
+    each axis, and for a != b along b of those along a (B. Fornberg,
+    Math. Comp. 51, 1988).  The points and their axis points are
+    validated; a non-finite metric at a pair point shows as non-finite
+    curvature.
     """
-    if chart.d_metric is not None:
-        g = chart._validated(centres, chart.callback_stack(chart.metric_at, centres, 2))
-        return g, chart.callback_stack(chart.d_metric, centres, 3)
-    n, m = centres.shape
-    width = 4 * m + 1
-    per_block = max(1, _STACK_FLOATS // (width * m * m))
-    raw = np.empty((n, m, m))
-    dg = np.empty((n, m, m, m))
-    for lo in range(0, n, per_block):
-        c = centres[lo : lo + per_block]
-        points = np.concatenate([c[:, None], _stencil(c, chart.fd_step)], axis=1)
-        values = chart.callback_stack(chart.metric_at, points.reshape(-1, m), 2)
-        values = values.reshape(len(c), width, m, m)
-        raw[lo : lo + len(c)] = values[:, 0]
-        dg[lo : lo + len(c)] = _central(_by_offset(values[:, 1:], 1), chart.fd_step)
-    return chart._validated(centres, raw), dg
+    n, m = us.shape
+    if chart.analytic:
+        g = chart._validated(us, chart.callback_stack(chart.metric_at, us, 2))
+        dg = chart.callback_stack(chart.d_metric, us, 3)
+        d2g = chart.callback_stack(chart.d2_metric, us, 4)
+        return g, dg, 0.5 * (d2g + np.swapaxes(d2g, 1, 2))
+    h, axial = chart.step2, 4 * m + 1
+    points = _jet_stencil(us, h)
+    values = chart.callback_stack(chart.metric_at, points.reshape(-1, m), 2).reshape(n, -1, m, m)
+    core = chart._validated(points[:, :axial].reshape(-1, m), values[:, :axial].reshape(-1, m, m))
+    core = core.reshape(n, axial, m, m)
+    g = core[:, 0]
+    fp2, fp1, fm1, fm2 = _by_offset(core[:, 1:], 1)
+    dg = _central((fp2, fp1, fm1, fm2), h)
+    d2g = np.empty((n, m, m, m, m))
+    i, (a, b) = np.arange(m), np.triu_indices(m, 1)
+    d2g[:, i, i] = (16.0 * (fp1 + fm1) - fp2 - fm2 - 30.0 * g[:, None]) / (3.0 * h * h)
+    # grid[s, n, pair, t, i, j]: the offset s along a leads.
+    grid = np.moveaxis(values[:, axial:].reshape(n, -1, 4, 4, m, m), 2, 0)
+    d2g[:, a, b] = d2g[:, b, a] = _central(np.moveaxis(_central(grid, h), 2, 0), h)
+    return g, dg, d2g
 
 
 def _first_kind(dg: np.ndarray) -> np.ndarray:
@@ -299,22 +315,20 @@ def christoffel(chart: MetricChart, u: np.ndarray) -> np.ndarray:
 
     Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
     """
-    u = chart.require_interior(u, extent=2.0 * chart.fd_step)
-    g, dg = _metric_jet(chart, u[None])
+    u = chart.require_interior(u, extent=2.0 * chart.step2)
+    g, dg, _ = _metric_jet(chart, u[None])
     return _christoffel_from(np.linalg.inv(g), dg)[0]
 
 
 def _christoffel_d1(
-    chart: MetricChart, us: np.ndarray, ginv: np.ndarray, gamma: np.ndarray, dg: np.ndarray
+    ginv: np.ndarray, gamma: np.ndarray, dg: np.ndarray, d2g: np.ndarray
 ) -> np.ndarray:
-    """dGamma[n, a, k, i, j] = d_a Gamma^k_ij of an analytic chart at a
-    stack of points, given g^-1, Gamma and dg there.
+    """dGamma[n, a, k, i, j] = d_a Gamma^k_ij at a stack of points, given
+    g^-1, Gamma, dg and d2g there.
 
     d_a Gamma = -g^-1 (d_a g) Gamma + (1/2) g^-1 d_a S.
     """
-    n, m = us.shape
-    d2g = chart.callback_stack(chart.d2_metric, us, 4)
-    d2g = 0.5 * (d2g + np.swapaxes(d2g, 1, 2))
+    n, m = ginv.shape[:2]
     # [n, a, k, l] = (g^-1 d_a g)^k_l, then contracted with Gamma^l_ij.
     dginv_g = (ginv[:, None] @ dg).reshape(n, m * m, m)
     first = dginv_g @ gamma.reshape(n, m, m * m)
@@ -346,37 +360,21 @@ def _curvature(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, np.ndarr
     bit the projection of L_ijkl - L_jikl.  The projection is linear, so
     it commutes with a central difference of L.
 
-    An analytic chart evaluates each callback once on the stack.
-    Otherwise dGamma is a central difference of Gamma at reach step2,
-    and the metric jets at the points and at their stencils' points
-    come from one _metric_jet stack.
+    Both derivative modes run the same formula on the metric jet of
+    _metric_jet, which makes one call of each callback it uses.
     """
     n, m = us.shape
-    if chart.analytic:
-        centres = us
-    else:
-        centres = np.concatenate([us[:, None], _stencil(us, chart.step2)], axis=1).reshape(-1, m)
-    gs, dgs = _metric_jet(chart, centres)
-    ginvs = np.linalg.inv(gs)
-    gammas = _christoffel_from(ginvs, dgs)
-    if chart.analytic:
-        g, gamma = gs, gammas
-        dgamma = _christoffel_d1(chart, us, ginvs, gammas, dgs)
-    else:
-        # Copies, so that the stencil stacks are freed before R is formed.
-        width = 4 * m + 1
-        g = gs.reshape(n, width, m, m)[:, 0].copy()
-        gammas = gammas.reshape(n, width, m, m, m)
-        gamma = gammas[:, 0].copy()
-        dgamma = _central(_by_offset(gammas[:, 1:], 1), chart.step2)
-        del gs, dgs, ginvs, gammas
+    g, dg, d2g = _metric_jet(chart, us)
+    ginv = np.linalg.inv(g)
+    gamma = _christoffel_from(ginv, dg)
+    dgamma = _christoffel_d1(ginv, gamma, dg, d2g)
     # upper[n, i, s, jk]; Gamma^s_it Gamma^t_jk is [n, (s i), (j k)].
     squares = (gamma.reshape(n, m * m, m) @ gamma.reshape(n, m, m * m)).reshape(n, m, m, m * m)
     upper = dgamma.reshape(n, m, m, m * m) + np.swapaxes(squares, 1, 2)
     # [n, i, jk, l] = upper[n, i, s, jk] g_sl.
     lowered = (np.swapaxes(upper, 2, 3) @ g[:, None]).reshape((n,) + (m,) * 4)
-    # Only the metrics at the Gamma stencil points are validated, so a
-    # non-finite value at a dg stencil point first shows here.
+    # Every metric is validated, but differences of finite metrics can
+    # still overflow.
     finite = np.isfinite(lowered).all(axis=(1, 2, 3, 4))
     if not finite.all():
         raise DomainError(f"curvature is not finite at u={us[int(finite.argmin())]}")
@@ -386,13 +384,13 @@ def _curvature(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _curvature_block(chart: MetricChart) -> int:
     """Points per _curvature call when many points are evaluated."""
     m = chart.dim
-    floats = m**4 if chart.analytic else 3 * (4 * m + 1) * m**3
+    floats = m**4 if chart.analytic else (1 + 4 * m + 8 * m * (m - 1)) * m * m
     return max(1, _CURVATURE_FLOATS // floats)
 
 
 def riemann_at(chart: MetricChart, u: np.ndarray) -> tuple[CurvatureTensor, InnerProduct]:
     """Fully covariant Riemann tensor and the metric at a point."""
-    u = chart.require_interior(u, extent=2.0 * (chart.step2 + chart.fd_step))
+    u = chart.require_interior(u, extent=2.0 * chart.step2)
     lowered, g, _ = _curvature(chart, u[None])
     metric = InnerProduct(g[0])
     return CurvatureTensor(2.0 * _symmetrize_curvature(lowered[0]), metric), metric
@@ -407,7 +405,7 @@ def _riemann_with_derivative(
     # Each stencil point moves at most k3 along one axis, so this margin
     # leaves riemann_at's own margin around it: per coordinate for a Box,
     # by the triangle inequality for a Ball.
-    u = chart.require_interior(u, extent=k3 + 2.0 * (chart.step2 + chart.fd_step))
+    u = chart.require_interior(u, extent=k3 + 2.0 * chart.step2)
     points = np.concatenate([u[None], _stencil(u, k3)])
     per_block = _curvature_block(chart)
     out = np.empty((m,) * 5)
@@ -513,8 +511,9 @@ def conformal_rescale(
 
     new_d1 = None
     new_d2 = None
-    if chart.analytic and d_alpha is not None:
+    if chart.analytic and d_alpha is not None and d2_alpha is not None:
         base_d1 = chart.d_metric
+        base_d2 = chart.d2_metric
 
         def scaled_d1(u: np.ndarray) -> np.ndarray:
             u = np.asarray(u, dtype=float)
@@ -526,25 +525,21 @@ def conformal_rescale(
                 + da[..., :, None, None] * g[..., None, :, :]
             )
 
-        new_d1 = scaled_d1
-        if d2_alpha is not None:
-            base_d2 = chart.d2_metric
+        def scaled_d2(u: np.ndarray) -> np.ndarray:
+            u = np.asarray(u, dtype=float)
+            g = np.asarray(base_metric(u), dtype=float)
+            dg = np.asarray(base_d1(u), dtype=float)
+            d2g = np.asarray(base_d2(u), dtype=float)
+            da = per_point(d_alpha, u, 1)
+            d2a = per_point(d2_alpha, u, 2)
+            return (
+                per_point(alpha, u, 0)[..., None, None, None, None] * d2g
+                + d2a[..., :, :, None, None] * g[..., None, None, :, :]
+                + da[..., :, None, None, None] * dg[..., None, :, :, :]
+                + da[..., None, :, None, None] * dg[..., :, None, :, :]
+            )
 
-            def scaled_d2(u: np.ndarray) -> np.ndarray:
-                u = np.asarray(u, dtype=float)
-                g = np.asarray(base_metric(u), dtype=float)
-                dg = np.asarray(base_d1(u), dtype=float)
-                d2g = np.asarray(base_d2(u), dtype=float)
-                da = per_point(d_alpha, u, 1)
-                d2a = per_point(d2_alpha, u, 2)
-                return (
-                    per_point(alpha, u, 0)[..., None, None, None, None] * d2g
-                    + d2a[..., :, :, None, None] * g[..., None, None, :, :]
-                    + da[..., :, None, None, None] * dg[..., None, :, :, :]
-                    + da[..., None, :, None, None] * dg[..., :, None, :, :]
-                )
-
-            new_d2 = scaled_d2
+        new_d1, new_d2 = scaled_d1, scaled_d2
 
     return replace(
         chart,

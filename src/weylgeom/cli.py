@@ -340,7 +340,7 @@ def resolve_model(config: AnalysisConfig):
             )
         except DomainError:
             raise
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad external metric: {exc}") from exc
         _require_dimension(chart.dim, chart.name)
         return "chart", _apply_fd_step(chart, config), chart.name
@@ -351,7 +351,7 @@ def resolve_model(config: AnalysisConfig):
         built = build_model(config.model)
     except DomainError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad model: {exc}") from exc
     _require_dimension(built.dim, config.model.name)
     if kind == "chart":

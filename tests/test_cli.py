@@ -343,14 +343,15 @@ class TestVerify:
 
 
 class TestChartPointCurvature:
-    @pytest.mark.parametrize("command, counts", [("analyze", (3, 3, 3)), ("verify", (15, 12, 6))])
+    @pytest.mark.parametrize("command, counts", [("analyze", (3, 3, 3)), ("verify", (15, 12, 9))])
     def test_one_curvature_pass_per_point(self, capsys, monkeypatch, command, counts):
         # metric_at / d_metric / d2_metric calls for the three default
         # points of fubini_study:n=2: one stacked call each per point for R
         # and nabla R together (6 per point before R was taken from nabla
         # R's pass); verify adds the rescaled chart's curvature, 3/2/1
         # calls of the base callbacks, and the Christoffel symbols of the
-        # structure check, 1/1/0 (18/15/9 before).
+        # structure check, 1/1/1: they come from the same metric jet as
+        # the curvature, which includes d2_metric.
         seen = []
         build = cli.build_model
 
@@ -431,6 +432,13 @@ class TestFailureMapping:
         code, _, err = run(capsys, "analyze", str(cfg))
         assert code == 2
         assert "non-finite" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "verify", "spectrum"])
+    def test_overflowing_model_param_is_config_error(self, capsys, command):
+        # The sphere chart builds 4 r^4, which overflows a float at r = 1e200.
+        code, _, err = run(capsys, command, "--model", "sphere:m=3,r=1e200")
+        assert code == 2
+        assert "bad model" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_metric_is_domain_error(self, tmp_path, capsys):
