@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import tiers
 from .tensor_core import CurvatureTensor, InnerProduct, max_abs
 
 __all__ = [
@@ -91,13 +92,17 @@ class Ball:
         if dim is None:
             raise ValueError("ball sampling needs the chart dimension")
         rng = np.random.default_rng(seed)
-        out = []
         limit = 0.6 * (self.radius - self.margin)
+        # Cube draws are rejected in blocks that double from 64 rows up to
+        # 2^15, since the ball fills little of its cube at large m; the
+        # first count accepted rows are kept, in draw order.
+        out = np.empty((0, dim))
+        block = 64
         while len(out) < count:
-            v = rng.uniform(-limit, limit, size=dim)
-            if np.linalg.norm(v) <= limit:
-                out.append(v)
-        return np.array(out)
+            v = rng.uniform(-limit, limit, size=(block, dim))
+            out = np.concatenate([out, v[np.linalg.norm(v, axis=1) <= limit]])
+            block = min(2 * block, 1 << 15)
+        return out[:count]
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,7 @@ class MetricChart:
         gt = g.transpose(0, 2, 1)
         with np.errstate(invalid="ignore"):
             scale = np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
-            asym = np.abs(g - gt).max(axis=(1, 2)) > 1e-9 * scale
+            asym = np.abs(g - gt).max(axis=(1, 2)) > tiers.CHART_METRIC_SYMMETRY * scale
         sym = 0.5 * (g + gt)
         bad = ~finite | asym
         first = int(bad.argmax()) if bad.any() else len(g)

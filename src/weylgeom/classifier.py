@@ -38,12 +38,11 @@ from enum import Enum
 
 import numpy as np
 
+from . import tiers
 from .chart_geometry import MetricChart, riemann_at
 from .curvature_algebra import CurvatureDecomposition, r0, a_phi, weyl_decompose
 from .spectral import (
-    DEFAULT_CLUSTER_TOL,
     DEFAULT_SAMPLES,
-    DEFAULT_SPEC_TOL_ALGEBRAIC,
     OssermanReport,
     SpectralProfile,
     cluster_spectrum,
@@ -104,26 +103,35 @@ class ToleranceConfig:
     as constant; flat_tol bounds the Weyl norm accepted as zero;
     cluster_tol merges eigenvalues; degeneracy_tol guards the pivot in
     Phi recovery; eq2a_tol and recon_tol gate the structural checks of
-    a complex space form verdict.
+    a complex space form verdict.  Both tiers and the defaults read
+    their values from the tiers table.
     """
 
     spec_tol: float
     flat_tol: float
     eq2a_tol: float
     recon_tol: float
-    cluster_tol: float = DEFAULT_CLUSTER_TOL
-    degeneracy_tol: float = 1e-3
+    cluster_tol: float = tiers.CLUSTER
+    degeneracy_tol: float = tiers.DEGENERACY
 
     @classmethod
     def algebraic(cls) -> "ToleranceConfig":
         return cls(
-            spec_tol=DEFAULT_SPEC_TOL_ALGEBRAIC, flat_tol=1e-9, eq2a_tol=1e-8, recon_tol=1e-8
+            spec_tol=tiers.SPEC_ALGEBRAIC,
+            flat_tol=tiers.FLAT_ALGEBRAIC,
+            eq2a_tol=tiers.EQ2A_ALGEBRAIC,
+            recon_tol=tiers.RECON_ALGEBRAIC,
         )
 
     @classmethod
     def chart(cls) -> "ToleranceConfig":
         """Looser tiers matched to the finite difference noise floor."""
-        return cls(spec_tol=1e-4, flat_tol=1e-5, eq2a_tol=1e-4, recon_tol=1e-6)
+        return cls(
+            spec_tol=tiers.SPEC_CHART,
+            flat_tol=tiers.FLAT_CHART,
+            eq2a_tol=tiers.EQ2A_CHART,
+            recon_tol=tiers.RECON_CHART,
+        )
 
 
 @dataclass(frozen=True)
@@ -132,15 +140,14 @@ class Eq2aCheck:
     residual: float
 
 
-def check_eq2a(lambda0: float, lambda1: float, m: int, tol: float = 1e-8) -> Eq2aCheck:
+def check_eq2a(
+    lambda0: float, lambda1: float, m: int, tol: float = tiers.EQ2A_ALGEBRAIC
+) -> Eq2aCheck:
     """Relative residual of 3*lambda1 + (m-1)*lambda0 = 0."""
     if lambda1 == 0.0:
         raise ValueError("relation check needs lambda1 != 0")
     residual = abs(3.0 * lambda1 + (m - 1) * lambda0) / abs(lambda1)
     return Eq2aCheck(passed=residual <= tol, residual=residual)
-
-
-_PIVOT_TIE = 1e-8
 
 
 def _require_euclidean(a: CurvatureTensor) -> None:
@@ -150,8 +157,8 @@ def _require_euclidean(a: CurvatureTensor) -> None:
 
 def recover_phi(
     b: CurvatureTensor,
-    degeneracy_tol: float = 1e-3,
-    recon_tol: float = 1e-8,
+    degeneracy_tol: float = tiers.DEGENERACY,
+    recon_tol: float = tiers.RECON_ALGEBRAIC,
 ) -> HermitianStructure:
     """Reconstruct Phi from a tensor of the form a_phi(Phi).
 
@@ -170,14 +177,14 @@ def recover_phi(
     scale = max(1.0, b.max_abs())
 
     # Pivot: diag[p, q] = B_pqqp = 3 Phi_pq^2, maximal over p != q.  The
-    # first entry in row-major order within a relative _PIVOT_TIE of the
-    # maximum is taken, so entries that tie in exact arithmetic (eight at
-    # m = 8 for the standard structure) pick the same pivot, and hence
+    # first entry in row-major order within a relative tiers.PIVOT_TIE of
+    # the maximum is taken, so entries that tie in exact arithmetic (eight
+    # at m = 8 for the standard structure) pick the same pivot, and hence
     # the same sign of Phi, whatever the roundoff upstream.
     diag = np.einsum("pqqp->pq", c).copy()
     np.fill_diagonal(diag, 0.0)
     mag = np.abs(diag)
-    p, q = np.unravel_index(np.argmax(mag >= (1.0 - _PIVOT_TIE) * mag.max()), diag.shape)
+    p, q = np.unravel_index(np.argmax(mag >= (1.0 - tiers.PIVOT_TIE) * mag.max()), diag.shape)
     pivot = diag[p, q]
     if abs(pivot) <= degeneracy_tol * scale:
         raise DegenerateInputError(
@@ -239,7 +246,7 @@ class Verdict:
 
 
 def consensus_profile(
-    w: CurvatureTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL
+    w: CurvatureTensor, cluster_tol: float = tiers.CLUSTER
 ) -> tuple[SpectralProfile, np.ndarray]:
     """Modal spectral profile over the structured direction set.
 
@@ -319,7 +326,7 @@ def _classify_constant(
 
     if len(clusters) == 1:
         gap = tol.cluster_tol * max(1.0, max(abs(v) for v in profile.values))
-        if profile.spread > 0.5 * gap:
+        if profile.spread > tiers.NEAR_DEGENERATE * gap:
             warnings.append(
                 "near-degenerate: intra-cluster spread "
                 f"{profile.spread:.3e} within a factor 2 of the clustering "

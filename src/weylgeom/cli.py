@@ -37,9 +37,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tiers
 from .tensor_core import CurvatureTensor, max_abs
 from .curvature_algebra import symmetry_residual, weyl_decompose
-from .spectral import DEFAULT_CLUSTER_TOL, DEFAULT_SAMPLES, trace_check
+from .spectral import DEFAULT_SAMPLES, trace_check
 from .chart_geometry import (
     DomainError,
     MetricChart,
@@ -83,14 +84,6 @@ EXIT_NUMERICAL = 4
 
 SCHEMA_VERSION = 1
 
-# Residual tiers for the verify subcommand, keyed by derivative mode.
-BIANCHI_TIER = {"analytic": 1e-7, "fd": 1e-4}
-TRACE_TIER = {"algebraic": 1e-9, "chart": 1e-5}
-CONFORMAL_TIER = 1e-5
-KAHLER_TIER = 1e-3
-SYMMETRY_TIER = 1e-10
-RECONSTRUCTION_TIER = 1e-10
-
 _DEFAULT_POINT_COUNT = 3
 
 # Models whose chart coordinates are holomorphic, making the standard
@@ -131,8 +124,8 @@ class AnalysisConfig:
     seed: int = 0
     fd_step: float | None = None
     spec_tol: float | None = None
-    cluster_tol: float = DEFAULT_CLUSTER_TOL
-    degeneracy_tol: float = 1e-3
+    cluster_tol: float = tiers.CLUSTER
+    degeneracy_tol: float = tiers.DEGENERACY
     format: str = "text"
     out: str | None = None
 
@@ -190,6 +183,9 @@ def _parse_model(raw) -> ModelSpec:
         raise ConfigError(f"model params must be an object, got {params!r}")
     if name == "polynomial":
         _require_finite_coefficients(params, "model")
+    for key, value in sorted(params.items()):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"model parameter {key} must be finite, got {value!r}")
     return ModelSpec(name=name, params=dict(params))
 
 
@@ -236,7 +232,10 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
             raise ConfigError(f"samples must be at least 2, got {samples}")
         kwargs["samples"] = samples
     if "seed" in data:
-        kwargs["seed"] = _as_int(data["seed"], "seed")
+        seed = _as_int(data["seed"], "seed")
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
+        kwargs["seed"] = seed
     if "tolerances" in data:
         tol = data["tolerances"]
         if not isinstance(tol, dict):
@@ -603,57 +602,54 @@ def _verify_chart_point(
     u: np.ndarray,
 ) -> dict:
     checks = []
-    mode = "analytic" if chart.analytic else "fd"
+    bianchi_tier = tiers.VERIFY_BIANCHI_ANALYTIC if chart.analytic else tiers.VERIFY_BIANCHI_FD
 
     r, nabla_r = _riemann_with_derivative(chart, u)
-    checks.append(_check("second_bianchi", cyclic_bianchi_residual(nabla_r), BIANCHI_TIER[mode]))
+    checks.append(_check("second_bianchi", cyclic_bianchi_residual(nabla_r), bianchi_tier))
 
     dec = orthonormal_decomposition(r)
     checks.append(
-        _check("trace_free_jacobi", trace_check(dec.w, samples, seed), TRACE_TIER["chart"])
+        _check("trace_free_jacobi", trace_check(dec.w, samples, seed), tiers.VERIFY_TRACE_CHART)
     )
 
     invariance = max_abs(_weyl13(r) - _weyl13(riemann_at(scaled, u)[0]))
-    checks.append(_check("conformal_invariance", invariance, CONFORMAL_TIER))
+    checks.append(_check("conformal_invariance", invariance, tiers.VERIFY_CONFORMAL))
 
     if phi_mat is not None:
         nabla = covariant_derivative_endo(chart, lambda _v: phi_mat, u)
-        checks.append(_check("parallel_structure", max_abs(nabla), KAHLER_TIER))
+        checks.append(_check("parallel_structure", max_abs(nabla), tiers.VERIFY_KAHLER))
         anti = max(
             max_abs(nabla[n] @ phi_mat + phi_mat @ nabla[n]) for n in range(len(nabla))
         )
-        checks.append(_check("structure_anticommutator", anti, KAHLER_TIER))
+        checks.append(_check("structure_anticommutator", anti, tiers.VERIFY_KAHLER))
 
     if debug_corrupt:
         nabla_r[0, 0, 0, 0, 1] += 0.1
         corrupted = cyclic_bianchi_residual(nabla_r)
-        checks.append(_check("second_bianchi_corrupted", corrupted, BIANCHI_TIER[mode]))
+        checks.append(_check("second_bianchi_corrupted", corrupted, bianchi_tier))
 
     return {"checks": checks}
 
 
 def _verify_act(act: CurvatureTensor, samples: int, seed: int, debug_corrupt: bool) -> dict:
-    checks = [
-        _check("curvature_symmetries", symmetry_residual(act), SYMMETRY_TIER * max(1.0, act.max_abs()))
-    ]
+    symmetry_tier = tiers.VERIFY_SYMMETRY * max(1.0, act.max_abs())
+    checks = [_check("curvature_symmetries", symmetry_residual(act), symmetry_tier)]
     dec = orthonormal_decomposition(act)
     checks.append(
         _check(
             "decomposition_reconstruction",
             dec.reconstruction_residual(),
-            RECONSTRUCTION_TIER * max(1.0, act.max_abs()),
+            tiers.VERIFY_RECONSTRUCTION * max(1.0, act.max_abs()),
         )
     )
     checks.append(
-        _check("trace_free_jacobi", trace_check(dec.w, samples, seed), TRACE_TIER["algebraic"])
+        _check("trace_free_jacobi", trace_check(dec.w, samples, seed), tiers.VERIFY_TRACE_ALGEBRAIC)
     )
     if debug_corrupt:
         broken = act.components.copy()
         broken[0, 0, 0, 1] += 0.1
         residual = symmetry_residual(CurvatureTensor(broken, act.metric))
-        checks.append(
-            _check("curvature_symmetries_corrupted", residual, SYMMETRY_TIER * max(1.0, act.max_abs()))
-        )
+        checks.append(_check("curvature_symmetries_corrupted", residual, symmetry_tier))
     return {"checks": checks}
 
 

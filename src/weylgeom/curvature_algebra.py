@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tiers
 from .tensor_core import (
     CurvatureTensor,
     HermitianStructure,
@@ -59,9 +60,6 @@ __all__ = [
     "complex_space_form_act",
     "weyl_constants",
 ]
-
-_ADJOINT_TOL = 1e-8
-_ACT_CHECK_TOL = 1e-6
 
 
 def weyl_constants(m: int) -> tuple[float, float]:
@@ -142,7 +140,7 @@ def ricci_scalar(a: CurvatureTensor, strict: bool = True) -> tuple[np.ndarray, f
     """
     if strict:
         res = symmetry_residual(a)
-        if res > _ACT_CHECK_TOL * max(1.0, a.max_abs()):
+        if res > tiers.RICCI_CONTRACTION_SYMMETRY * max(1.0, a.max_abs()):
             raise ValueError(
                 f"symmetry residual {res:.3e} too large for Ricci contraction; "
                 "pass strict=False to override"
@@ -165,7 +163,7 @@ def l_tensor(rho: np.ndarray, g: InnerProduct) -> CurvatureTensor:
     L_ijkl = rho_jk g_il - rho_ik g_jl + g_jk rho_il - g_ik rho_jl.
     """
     rho = np.asarray(rho, dtype=float)
-    if max_abs(rho - rho.T) > 1e-8 * max(1.0, max_abs(rho)):
+    if max_abs(rho - rho.T) > tiers.RICCI_FORM_SYMMETRY * max(1.0, max_abs(rho)):
         raise ValueError("Ricci form must be symmetric")
     gm = g.g
     comps = (
@@ -197,7 +195,7 @@ def a_psi(psi: SelfAdjointEndo | np.ndarray, g: InnerProduct) -> CurvatureTensor
     """Curvature generator of a self-adjoint endomorphism."""
     mat = psi.matrix if isinstance(psi, SelfAdjointEndo) else np.asarray(psi, dtype=float)
     res = self_adjoint_residual(mat, g)
-    if res > _ADJOINT_TOL * max(1.0, max_abs(mat)):
+    if res > tiers.GENERATOR_ADJOINT * max(1.0, max_abs(mat)):
         raise ValueError(f"endomorphism is not g-self-adjoint (residual {res:.3e})")
     # E_li = g(Psi e_i, e_l); E is symmetric exactly when Psi is g-self-adjoint.
     e = g.g @ mat
@@ -213,7 +211,7 @@ def a_phi(phi: HermitianStructure | np.ndarray, g: InnerProduct) -> CurvatureTen
     """
     mat = phi.matrix if isinstance(phi, HermitianStructure) else np.asarray(phi, dtype=float)
     res = skew_adjoint_residual(mat, g)
-    if res > _ADJOINT_TOL * max(1.0, max_abs(mat)):
+    if res > tiers.GENERATOR_ADJOINT * max(1.0, max_abs(mat)):
         raise ValueError(f"endomorphism is not g-skew-adjoint (residual {res:.3e})")
     f = g.g @ mat
     comps = (

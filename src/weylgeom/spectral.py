@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tiers
 from .tensor_core import CurvatureTensor
 
 __all__ = [
@@ -34,19 +35,13 @@ __all__ = [
     "trace_check",
     "osserman_test",
     "DEFAULT_SAMPLES",
-    "DEFAULT_SPEC_TOL_ALGEBRAIC",
-    "DEFAULT_CLUSTER_TOL",
 ]
 
 DEFAULT_SAMPLES = 64
-DEFAULT_SPEC_TOL_ALGEBRAIC = 1e-6
-DEFAULT_CLUSTER_TOL = 1e-3
-
-_UNIT_TOL = 1e-8
 
 
 def _require_orthonormal(a: CurvatureTensor) -> None:
-    if not a.metric.is_euclidean(tol=1e-10):
+    if not a.metric.is_euclidean(tol=tiers.SPECTRAL_FRAME):
         raise ValueError(
             "spectral operations require an orthonormal frame; "
             "transform the tensor with orthonormal_frame first"
@@ -144,7 +139,7 @@ def complement_basis(x: np.ndarray) -> np.ndarray:
 def _reduced_jacobi_stack(comps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Reduced Jacobi operators of the unit rows of dirs, (n, m-1, m-1)."""
     nrm = np.linalg.norm(dirs, axis=1)
-    bad = np.flatnonzero(np.abs(nrm - 1.0) > _UNIT_TOL)
+    bad = np.flatnonzero(np.abs(nrm - 1.0) > tiers.UNIT_DIRECTION)
     if bad.size:
         raise ValueError(f"direction must be unit length, got |x| = {float(nrm[bad[0]])!r}")
     p = _complement_bases(dirs)
@@ -183,14 +178,14 @@ def _self_adjoint_eigvalsh(mat: np.ndarray) -> np.ndarray:
     mat_t = np.swapaxes(mat, -1, -2)
     skew = np.abs(mat - mat_t).max(axis=(-2, -1), initial=0.0)
     size = np.abs(mat).max(axis=(-2, -1), initial=0.0)
-    if np.any(skew > _UNIT_TOL * np.maximum(1.0, size)):
+    if np.any(skew > tiers.JACOBI_SELF_ADJOINT * np.maximum(1.0, size)):
         raise ValueError("eigenvalue solve needs a self adjoint matrix")
     sym = mat + mat_t
     sym *= 0.5
     return np.linalg.eigvalsh(sym)
 
 
-def cluster_spectrum(eig: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralProfile:
+def cluster_spectrum(eig: np.ndarray, cluster_tol: float = tiers.CLUSTER) -> SpectralProfile:
     """Cluster an ascending eigenvalue row by gap threshold.
 
     Consecutive eigenvalues merge when their gap is at most
@@ -211,7 +206,7 @@ def cluster_spectrum(eig: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) 
     return SpectralProfile(tuple(clusters), spread, dim=len(eig) + 1)
 
 
-def spectral_profile(mat: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralProfile:
+def spectral_profile(mat: np.ndarray, cluster_tol: float = tiers.CLUSTER) -> SpectralProfile:
     """Clustered spectrum of a self adjoint matrix (see cluster_spectrum)."""
     return cluster_spectrum(_self_adjoint_eigvalsh(mat), cluster_tol)
 
@@ -244,7 +239,7 @@ def unit_directions(
     while count < n:
         v = rng.standard_normal(m)
         nrm = np.linalg.norm(v)
-        if nrm < 1e-8:
+        if nrm < tiers.DIRECTION_NORM_FLOOR:
             continue
         draws[count] = v / nrm
         count += 1
@@ -272,7 +267,7 @@ def osserman_test(
     a: CurvatureTensor,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    spec_tol: float = DEFAULT_SPEC_TOL_ALGEBRAIC,
+    spec_tol: float = tiers.SPEC_ALGEBRAIC,
 ) -> OssermanReport:
     """Test whether reduced Jacobi spectra are direction independent.
 

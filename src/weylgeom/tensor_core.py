@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tiers
+
 __all__ = [
     "InnerProduct",
     "SelfAdjointEndo",
@@ -33,8 +35,6 @@ __all__ = [
     "hermitian_residuals",
     "max_abs",
 ]
-
-_SYM_TOL = 1e-10
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -73,7 +73,7 @@ class InnerProduct:
             raise ValueError(f"dimension must be at least 2, got {g.shape[0]}")
         if not np.all(np.isfinite(g)):
             raise ValueError("inner product matrix has non-finite entries")
-        if max_abs(g - g.T) > _SYM_TOL * max(1.0, max_abs(g)):
+        if max_abs(g - g.T) > tiers.INNER_PRODUCT_SYMMETRY * max(1.0, max_abs(g)):
             raise ValueError("inner product matrix is not symmetric")
         g = 0.5 * (g + g.T)
         try:
@@ -96,7 +96,7 @@ class InnerProduct:
     def norm(self, x: np.ndarray) -> float:
         return float(np.sqrt(max(self.pair(x, x), 0.0)))
 
-    def is_euclidean(self, tol: float = 1e-12) -> bool:
+    def is_euclidean(self, tol: float = tiers.EUCLIDEAN_FRAME) -> bool:
         return max_abs(self.g - np.eye(self.dim)) <= tol
 
 
@@ -152,7 +152,9 @@ class HermitianStructure:
             g = InnerProduct.euclidean(self.dim)
         return hermitian_residuals(self.matrix, g)
 
-    def validate(self, g: InnerProduct | None = None, tol: float = 1e-10) -> None:
+    def validate(
+        self, g: InnerProduct | None = None, tol: float = tiers.HERMITIAN_INVARIANTS
+    ) -> None:
         res = self.residuals(g)
         bad = {k: v for k, v in res.items() if v > tol}
         if bad:

@@ -43,6 +43,43 @@ CHART_FAMILIES = {
 }
 
 
+# The seeded Ball probe points of default_probe_points(chart, 3, seed=1)
+# after the fixed first point, for Ball(1.0, margin=0.1) charts by
+# dimension, as the one-draw-at-a-time sampler produced them.
+PINNED_BALL_POINTS = {
+    8: [
+        [
+            -0.06541272701589179, 0.142919625400468, -0.12837146500363295,
+            0.18973233500664777, -0.31978002949433526, -0.15838115960171661,
+            0.046778484190342806, -0.07813686468839509
+        ],
+        [
+            -0.19138218508565075, 0.11540455215632561, -0.2676880670898313,
+            0.0614895438343519, 0.29017713652795374, -0.23039232121321868,
+            -0.029429059541621116, 0.08236872356503833
+        ],
+    ],
+    16: [
+        [
+            -0.023006193642853834, 0.17045611375330416, 0.21208075836125095,
+            -0.2336851738791716, -0.09842191552667806, 0.22735243047872844,
+            0.013753662243373044, 0.02401335364720958, -0.1065199859202457,
+            -0.17777088871230995, 0.1193960334473384, -0.1024788867082469,
+            -0.05993059609217216, -0.034140355037487136, -0.15393886193842155,
+            -0.005260784964977172
+        ],
+        [
+            0.30352291380683327, 0.11654451752205408, -0.13545166415512266,
+            -0.0523651925595181, 0.092313989671849, 0.07673773688225805,
+            0.2296071787257713, 0.025787735181117766, 0.11130066731632426,
+            0.039138753063546305, -0.141032067315641, 0.13586028638644632,
+            -0.044823930605477014, 0.021534656774916394, -0.04639146917291154,
+            -0.16439902870811007
+        ],
+    ],
+}
+
+
 def counted_chart(chart):
     """The chart with each supplied callback wrapped to count its calls."""
     calls = {"metric_at": 0, "d_metric": 0, "d2_metric": 0}
@@ -124,6 +161,34 @@ class TestDomains:
         pts = Ball(1.0).interior_sample(10, seed=0, dim=3)
         assert pts.shape == (10, 3)
         assert np.all(np.linalg.norm(pts, axis=1) <= 0.54 + 1e-12)
+
+    @pytest.mark.parametrize("dim", [4, 6, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_ball_sampling_keeps_draw_order(self, dim, seed):
+        # Oracle: one cube draw at a time, the first `count` inside kept.
+        ball = Ball(1.0, margin=0.1)
+        rng = np.random.default_rng(seed)
+        limit = 0.6 * 0.9
+        expected = []
+        while len(expected) < 5:
+            v = rng.uniform(-limit, limit, size=dim)
+            if np.linalg.norm(v) <= limit:
+                expected.append(v)
+        assert np.array_equal(ball.interior_sample(5, seed, dim=dim), np.array(expected))
+
+    @pytest.mark.parametrize(
+        "build, pinned",
+        [
+            (lambda: complex_hyperbolic_chart(4), PINNED_BALL_POINTS[8]),
+            (lambda: complex_hyperbolic_chart(8), PINNED_BALL_POINTS[16]),
+            (lambda: hyperbolic_chart(16), PINNED_BALL_POINTS[16]),
+        ],
+        ids=["complex_hyperbolic_4", "complex_hyperbolic_8", "hyperbolic_16"],
+    )
+    def test_default_probe_points_are_pinned(self, build, pinned):
+        chart = build()
+        expected = np.vstack([np.full(chart.dim, 0.05), pinned])
+        assert np.array_equal(default_probe_points(chart, 3, seed=1), expected)
 
 
 class TestMetricChart:

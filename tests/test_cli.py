@@ -434,6 +434,48 @@ class TestFailureMapping:
         assert "non-finite" in err
 
     @pytest.mark.parametrize("command", ["analyze", "verify", "spectrum"])
+    @pytest.mark.parametrize("model", ["space_form:m=4", "sphere:m=4"])
+    def test_negative_seed_flag_is_config_error(self, capsys, command, model):
+        code, out, err = run(capsys, command, "--model", model, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed must be non-negative" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "verify", "spectrum"])
+    def test_negative_seed_in_config_is_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": {"name": "sphere", "params": {"m": 4}}, "seed": -3}))
+        code, _, err = run(capsys, command, str(cfg))
+        assert code == 2
+        assert "seed must be non-negative" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "verify", "spectrum"])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            "space_form:m=4,lambda0=nan",
+            "complex_space_form:n=2,lambda1=nan",
+            "sphere:m=4,r=nan",
+            "sphere:m=4,r=inf",
+            "sphere:m=4,r=-inf",
+            "perturbed_flat:m=4,eps=nan,seed=1",
+        ],
+    )
+    def test_non_finite_model_param_flag_is_config_error(self, capsys, command, model):
+        code, _, err = run(capsys, command, "--model", model)
+        assert code == 2
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_model_param_in_config_is_config_error(self, tmp_path, capsys, value):
+        # json.loads accepts these non-standard constants.
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"model": {"name": "sphere", "params": {"m": 4, "r": %s}}}' % value)
+        code, _, err = run(capsys, "analyze", str(cfg))
+        assert code == 2
+        assert "model parameter r must be finite" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "verify", "spectrum"])
     def test_overflowing_model_param_is_config_error(self, capsys, command):
         # The sphere chart builds 4 r^4, which overflows a float at r = 1e200.
         code, _, err = run(capsys, command, "--model", "sphere:m=3,r=1e200")
