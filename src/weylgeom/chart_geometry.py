@@ -1,5 +1,5 @@
 """Curvature of a metric chart: Christoffel symbols, the Riemann tensor,
-covariant derivatives, Bianchi residuals, and conformal rescaling.
+its covariant derivative, Bianchi residuals, and conformal rescaling.
 
 A chart supplies the metric as a function of coordinates, optionally
 with analytic first and second derivative callbacks.  Without both,
@@ -41,7 +41,6 @@ __all__ = [
     "covariant_derivative_riemann",
     "cyclic_bianchi_residual",
     "second_bianchi_residual",
-    "covariant_derivative_endo",
     "conformal_rescale",
     "default_probe_points",
     "DEFAULT_FD_STEP",
@@ -403,8 +402,9 @@ def riemann_at(chart: MetricChart, u: np.ndarray) -> tuple[CurvatureTensor, Inne
 
 def _riemann_with_derivative(
     chart: MetricChart, u: np.ndarray
-) -> tuple[CurvatureTensor, np.ndarray]:
-    """riemann_at's tensor and covariant_derivative_riemann from one pass."""
+) -> tuple[CurvatureTensor, np.ndarray, np.ndarray]:
+    """riemann_at's tensor, covariant_derivative_riemann and the
+    Christoffel symbols Gamma[k, i, j] at u, from one pass."""
     k3 = chart.step3
     m = chart.dim
     # Each stencil point moves at most k3 along one axis, so this margin
@@ -429,7 +429,7 @@ def _riemann_with_derivative(
             d -= 2.0 * (gamma[:, axis].T @ rc.reshape(m, -1)).reshape(d.shape)
             out[axis] = 2.0 * _symmetrize_curvature(d)
             axis += 1
-    return CurvatureTensor(rc, InnerProduct(g)), np.moveaxis(out, 0, -1)
+    return CurvatureTensor(rc, InnerProduct(g)), np.moveaxis(out, 0, -1), gamma
 
 
 def covariant_derivative_riemann(chart: MetricChart, u: np.ndarray) -> np.ndarray:
@@ -460,25 +460,6 @@ def second_bianchi_residual(chart: MetricChart, u: np.ndarray) -> float:
     """Differential Bianchi residual; a pipeline correctness oracle,
     near zero for every metric when the numerics are healthy."""
     return cyclic_bianchi_residual(covariant_derivative_riemann(chart, u))
-
-
-def covariant_derivative_endo(
-    chart: MetricChart,
-    phi_field: Callable[[np.ndarray], np.ndarray],
-    u: np.ndarray,
-) -> np.ndarray:
-    """Covariant derivative of an endomorphism field, output [a, i, j].
-
-    (nabla_a Phi) = d_a Phi + [Gamma_a, Phi] with (Gamma_a)^i_j the
-    connection matrix Gamma^i_{a j}.
-    """
-    u = chart.require_interior(u, extent=2.0 * chart.fd_step)
-    phi0 = np.asarray(phi_field(u), dtype=float)
-    if phi0.shape != (chart.dim, chart.dim):
-        raise ValueError(f"endomorphism field returned shape {phi0.shape}")
-    ga = np.moveaxis(christoffel(chart, u), 1, 0)
-    values = np.array([np.asarray(phi_field(v), dtype=float) for v in _stencil(u, chart.fd_step)])
-    return _central(_by_offset(values, 0), chart.fd_step) + ga @ phi0 - phi0 @ ga
 
 
 def conformal_rescale(

@@ -359,19 +359,17 @@ def _classify_constant(
                 f"{tol.eq2a_tol:.1e}; not a conformal complex space form"
             )
             return verdict(VerdictKind.OSSERMAN_OTHER)
-        candidate = CurvatureTensor(
-            (w.components - lambda0 * r0(w.metric).components) / lambda1, w.metric
-        )
+        r0_comps = r0(w.metric).components
         try:
             phi = recover_phi(
-                candidate,
+                CurvatureTensor((w.components - lambda0 * r0_comps) / lambda1, w.metric),
                 degeneracy_tol=tol.degeneracy_tol,
                 recon_tol=tol.recon_tol,
             )
         except (DegenerateInputError, ReconstructionFailedError) as exc:
             warnings.append(f"Hermitian structure recovery failed: {exc}")
             return verdict(VerdictKind.OSSERMAN_OTHER)
-        model = lambda0 * r0(w.metric).components + lambda1 * a_phi(phi, w.metric).components
+        model = lambda0 * r0_comps + lambda1 * a_phi(phi, w.metric).components
         diagnostics["reconstruction_residual"] = max_abs(w.components - model) / max(
             1.0, weyl_max
         )
@@ -455,7 +453,8 @@ def analyze_point(
     dec = orthonormal_decomposition(a)
     w = dec.w
     report = osserman_test(w, samples=samples, seed=seed, spec_tol=tol.spec_tol)
-    rows = report.spectra[: len(structured_directions(w.dim))]
+    # The structured directions lead the rows: m axes and m(m - 1) pairs.
+    rows = report.spectra[: w.dim**2]
     profile, _ = _modal_profile(rows, tol.cluster_tol)
     verdict = classify_point(w, profile, report, w.dim, tol=tol)
     return PointAnalysis(dec, report, profile, verdict)

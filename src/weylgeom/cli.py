@@ -46,7 +46,6 @@ from .chart_geometry import (
     MetricChart,
     _riemann_with_derivative,
     conformal_rescale,
-    covariant_derivative_endo,
     cyclic_bianchi_residual,
     default_probe_points,
     riemann_at,
@@ -541,7 +540,7 @@ def cmd_analyze(config: AnalysisConfig) -> tuple[dict, int]:
     )
 
     def at_point(u: np.ndarray) -> dict:
-        r, nabla_r = _riemann_with_derivative(target, u)
+        r, nabla_r, _ = _riemann_with_derivative(target, u)
         return _analysis_record(analyze(r), r.metric.g, cyclic_bianchi_residual(nabla_r))
 
     points, records = _records(
@@ -604,19 +603,21 @@ def _verify_chart_point(
     checks = []
     bianchi_tier = tiers.VERIFY_BIANCHI_ANALYTIC if chart.analytic else tiers.VERIFY_BIANCHI_FD
 
-    r, nabla_r = _riemann_with_derivative(chart, u)
+    r, nabla_r, gamma = _riemann_with_derivative(chart, u)
     checks.append(_check("second_bianchi", cyclic_bianchi_residual(nabla_r), bianchi_tier))
 
     dec = orthonormal_decomposition(r)
-    checks.append(
-        _check("trace_free_jacobi", trace_check(dec.w, samples, seed), tiers.VERIFY_TRACE_CHART)
-    )
+    trace_tier = tiers.VERIFY_TRACE_CHART * max(1.0, dec.r.max_abs())
+    checks.append(_check("trace_free_jacobi", trace_check(dec.w, samples, seed), trace_tier))
 
     invariance = max_abs(_weyl13(r) - _weyl13(riemann_at(scaled, u)[0]))
     checks.append(_check("conformal_invariance", invariance, tiers.VERIFY_CONFORMAL))
 
     if phi_mat is not None:
-        nabla = covariant_derivative_endo(chart, lambda _v: phi_mat, u)
+        # Phi is constant in these coordinates, so nabla_a Phi = [Gamma_a, Phi]
+        # with the connection matrix (Gamma_a)^i_j = Gamma^i_aj.
+        ga = np.moveaxis(gamma, 1, 0)
+        nabla = ga @ phi_mat - phi_mat @ ga
         checks.append(_check("parallel_structure", max_abs(nabla), tiers.VERIFY_KAHLER))
         anti = max(
             max_abs(nabla[n] @ phi_mat + phi_mat @ nabla[n]) for n in range(len(nabla))
@@ -642,9 +643,8 @@ def _verify_act(act: CurvatureTensor, samples: int, seed: int, debug_corrupt: bo
             tiers.VERIFY_RECONSTRUCTION * max(1.0, act.max_abs()),
         )
     )
-    checks.append(
-        _check("trace_free_jacobi", trace_check(dec.w, samples, seed), tiers.VERIFY_TRACE_ALGEBRAIC)
-    )
+    trace_tier = tiers.VERIFY_TRACE_ALGEBRAIC * max(1.0, dec.r.max_abs())
+    checks.append(_check("trace_free_jacobi", trace_check(dec.w, samples, seed), trace_tier))
     if debug_corrupt:
         broken = act.components.copy()
         broken[0, 0, 0, 1] += 0.1

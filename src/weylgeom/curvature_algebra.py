@@ -7,10 +7,9 @@ The decomposition splits any algebraic curvature tensor ``A`` as
 
 where ``R0`` is the constant curvature tensor of the metric, ``L`` is
 built from the Ricci form, ``tau`` is the scalar curvature, and ``W``
-is the trace free conformal part.  Ricci contraction is always carried
-out in an orthonormal frame; for a general metric the tensor is
-converted first and the result is mapped back, so a single index
-convention covers every code path.
+is the trace free conformal part.  Ricci contraction is carried out in
+the tensor's own frame, with the inverse metric; an orthonormal frame
+reduces it to a plain trace.
 
 Two generator families produce exact algebraic curvature tensors:
 
@@ -39,11 +38,9 @@ from .tensor_core import (
     InnerProduct,
     SelfAdjointEndo,
     max_abs,
-    orthonormal_frame,
     self_adjoint_residual,
     skew_adjoint_residual,
     symmetry_residual,
-    transform_tensor,
 )
 
 __all__ = [
@@ -119,20 +116,13 @@ def r0(g: InnerProduct) -> CurvatureTensor:
     return CurvatureTensor(comps, g)
 
 
-def _to_orthonormal(a: CurvatureTensor) -> tuple[CurvatureTensor, np.ndarray | None]:
-    """Return the tensor in an orthonormal frame plus the transform used."""
-    if a.metric.is_euclidean():
-        return a, None
-    b = orthonormal_frame(a.metric)
-    return transform_tensor(a, b), b
-
-
 def ricci_scalar(a: CurvatureTensor, strict: bool = True) -> tuple[np.ndarray, float]:
     """Ricci form and scalar curvature of a curvature tensor.
 
-    Contraction rho_ij = sum_k A_ikkj is evaluated in an orthonormal
-    frame and transported back to the tensor's own frame.  The returned
-    form is symmetrized; tau is its orthonormal trace.
+    The contraction rho_ij = g^kl A_iklj and tau = g^ij rho_ij run in the
+    tensor's own frame; for a Euclidean metric they are the plain traces
+    rho_ij = sum_k A_ikkj and tau = sum_i rho_ii.  The returned form is
+    symmetrized, and tau is taken from the symmetrized form.
 
     With ``strict`` the input must pass the curvature symmetry check to
     a loose tolerance; pass ``strict=False`` to measure diagnostics on
@@ -145,16 +135,14 @@ def ricci_scalar(a: CurvatureTensor, strict: bool = True) -> tuple[np.ndarray, f
                 f"symmetry residual {res:.3e} too large for Ricci contraction; "
                 "pass strict=False to override"
             )
-    a_on, b = _to_orthonormal(a)
-    rho_on = np.einsum("ikkj->ij", a_on.components)
-    rho_on = 0.5 * (rho_on + rho_on.T)
-    tau = float(np.trace(rho_on))
-    if b is None:
-        return rho_on, tau
-    # Covariant transport back: rho_on = B^T rho B.
-    binv = np.linalg.inv(b)
-    rho = binv.T @ rho_on @ binv
-    return 0.5 * (rho + rho.T), tau
+    if a.metric.is_euclidean():
+        rho = np.einsum("ikkj->ij", a.components)
+        rho = 0.5 * (rho + rho.T)
+        return rho, float(np.trace(rho))
+    ginv = np.linalg.inv(a.metric.g)
+    rho = np.tensordot(a.components, ginv, axes=([1, 2], [0, 1]))
+    rho = 0.5 * (rho + rho.T)
+    return rho, float(np.sum(ginv * rho))
 
 
 def l_tensor(rho: np.ndarray, g: InnerProduct) -> CurvatureTensor:

@@ -273,9 +273,11 @@ def osserman_test(
 
     Samples the structured direction set plus ``samples`` seeded draws,
     sorts each reduced spectrum, and reports the max pairwise L-infinity
-    distance.  Full sorted spectra are compared rather than clusters, so
-    cluster boundary flips cannot mask genuine variation.  The spectra
-    rows follow unit_directions, structured directions first; a reduced
+    distance; the spectra count as constant when it is at most spec_tol
+    times max(1, max |eigenvalue|), the scale of cluster_spectrum.  Full
+    sorted spectra are compared rather than clusters, so cluster
+    boundary flips cannot mask genuine variation.  The spectra rows
+    follow unit_directions, structured directions first; a reduced
     operator that is not self adjoint raises ValueError.
     """
     if samples < 2:
@@ -284,8 +286,9 @@ def osserman_test(
     # Max pairwise L-inf distance of sorted rows equals the widest
     # per-coordinate range.
     distance = float(np.max(spectra.max(axis=0) - spectra.min(axis=0)))
+    scale = max(1.0, float(np.max(np.abs(spectra))))
     return OssermanReport(
-        is_constant=bool(distance <= spec_tol),
+        is_constant=bool(distance <= spec_tol * scale),
         max_profile_distance=distance,
         samples=samples,
         seed=seed,

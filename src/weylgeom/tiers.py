@@ -29,7 +29,8 @@ each site keeps its own entry.
 # tier is matched to the finite-difference noise floor.
 
 # Widest direction-to-direction drift of a sorted reduced Jacobi spectrum
-# accepted as constant (the Osserman gate).
+# accepted as constant (the Osserman gate), relative to max(1, max
+# |eigenvalue|) over the sampled spectra.
 SPEC_ALGEBRAIC = 1e-6
 SPEC_CHART = 1e-4
 
@@ -67,7 +68,8 @@ PIVOT_TIE = 1e-8
 VERIFY_BIANCHI_ANALYTIC = 1e-7
 VERIFY_BIANCHI_FD = 1e-4
 
-# Max |Tr J(x)| of the Weyl part over sampled directions.
+# Max |Tr J(x)| of the Weyl part over sampled directions, relative to
+# max(1, max |A|) of the decomposed tensor.
 VERIFY_TRACE_ALGEBRAIC = 1e-9
 VERIFY_TRACE_CHART = 1e-5
 

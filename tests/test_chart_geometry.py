@@ -14,7 +14,6 @@ from weylgeom.chart_geometry import (
     MetricChart,
     christoffel,
     conformal_rescale,
-    covariant_derivative_endo,
     covariant_derivative_riemann,
     cyclic_bianchi_residual,
     default_probe_points,
@@ -524,37 +523,6 @@ class TestCovariantDerivatives:
         finally:
             tracemalloc.stop()
         assert peak <= 16e6
-
-    def test_endo_matches_per_axis_reference(self):
-        # nabla_a Phi = d_a Phi + Gamma_a Phi - Phi Gamma_a, (Gamma_a)^i_j = Gamma^i_aj.
-        chart = perturbed_flat_chart(4, 0.1, seed=3)
-        u = np.array([0.05, -0.1, 0.08, 0.02])
-        k = 0.5 * chart.fd_step
-
-        def field(v):
-            return np.outer(np.sin(v), np.cos(v)) + np.diag(v)
-
-        gamma = christoffel(chart, u)
-        expect = []
-        for a in range(chart.dim):
-            e = np.zeros(chart.dim)
-            e[a] = k
-            dphi = (-field(u + 2 * e) + 8 * field(u + e) - 8 * field(u - e) + field(u - 2 * e)) / (
-                12 * k
-            )
-            expect.append(dphi + gamma[:, a, :] @ field(u) - field(u) @ gamma[:, a, :])
-        got = covariant_derivative_endo(chart, field, u)
-        assert max_abs(got - np.array(expect)) <= 1e-12
-
-    def test_constant_endo_on_flat_is_parallel(self):
-        val = np.diag([1.0, 2.0, 3.0])
-        de = covariant_derivative_endo(flat_chart(3), lambda u: val, np.full(3, 0.1))
-        assert np.abs(de).max() == 0.0
-
-    def test_standard_structure_parallel_on_fubini_study(self):
-        phi = standard_phi(4).matrix
-        de = covariant_derivative_endo(fubini_study_chart(2), lambda u: phi, np.full(4, 0.05))
-        assert np.abs(de).max() <= 1e-12
 
 
 class TestConformalRescale:

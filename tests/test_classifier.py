@@ -230,6 +230,19 @@ class TestClassifyAct:
         assert v.kind is VerdictKind.OSSERMAN_OTHER
         assert any("skew-adjointness residual" in w for w in v.warnings)
 
+    @pytest.mark.parametrize("lam", [1e9, 1e11])
+    def test_osserman_gate_is_relative_to_the_spectrum(self, lam):
+        # The spectrum drift of an exact form is roundoff of its size
+        # (4.3e-6 at 1e9, 4.9e-4 at 1e11), over spec_tol in absolute terms.
+        v = classify_act(complex_space_form_act(-lam, lam, standard_phi(8)))
+        assert v.kind is VerdictKind.CONFORMALLY_COMPLEX_SPACE_FORM
+        assert_allclose(v.lambda1, lam, rtol=1e-8)
+
+    def test_scaled_generic_tensor_stays_not_osserman(self):
+        a = random_act(1, 8)
+        v = classify_act(CurvatureTensor(1e9 * a.components, a.metric))
+        assert v.kind is VerdictKind.NOT_CONFORMALLY_OSSERMAN
+
     def test_metric_scale_covariance(self):
         # g -> c g with A -> c A divides reduced eigenvalues by c.
         a = complex_space_form_act(1.0, 1.0, standard_phi(8))

@@ -2,11 +2,14 @@
 
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from weylgeom import chart_geometry, cli
+from weylgeom.models import ModelSpec, build_model, standard_phi
+from weylgeom.tensor_core import max_abs
 
 from test_chart_geometry import counted_chart
 
@@ -293,6 +296,48 @@ class TestVerify:
         assert "curvature_symmetries" in names
         assert "decomposition_reconstruction" in names
 
+    @pytest.mark.parametrize("name", ["fubini_study", "complex_hyperbolic"])
+    def test_structure_residuals_are_the_christoffel_commutator(self, capsys, name):
+        # Phi is constant in the chart, so nabla_a Phi = [Gamma_a, Phi], with
+        # Gamma from christoffel: bit for bit the reported residuals, and
+        # roundoff on these Kähler charts.
+        doc = run_json(capsys, "verify", "--model", f"{name}:n=2")
+        chart = build_model(ModelSpec(name, {"n": 2}))
+        phi = standard_phi(4).matrix
+        for rec in doc["records"]:
+            ga = np.moveaxis(chart_geometry.christoffel(chart, np.array(rec["point"])), 1, 0)
+            nabla = ga @ phi - phi @ ga
+            anti = max(max_abs(n @ phi + phi @ n) for n in nabla)
+            checks = {c["name"]: c["residual"] for c in rec["checks"]}
+            assert checks["parallel_structure"] == max_abs(nabla) <= 1e-12
+            assert checks["structure_anticommutator"] == anti <= 1e-12
+
+    @pytest.mark.parametrize("lam", ["1e6", "1e9"])
+    def test_trace_tier_scales_with_the_tensor(self, capsys, lam):
+        doc = run_json(
+            capsys, "verify", "--model", f"complex_space_form:n=4,lambda0={lam},lambda1={lam}"
+        )
+        assert doc["summary"]["all_passed"] is True
+
+    @pytest.mark.parametrize(
+        "model", ["complex_space_form:n=4,lambda0=1e6,lambda1=1e6", "fubini_study:n=2"]
+    )
+    def test_trace_check_fires_on_the_full_tensor(self, capsys, monkeypatch, model):
+        # R in place of W: its Jacobi trace is the Ricci form, far above
+        # the scaled tier.
+        decompose = cli.orthonormal_decomposition
+
+        def full_tensor(a):
+            dec = decompose(a)
+            return replace(dec, w=dec.r)
+
+        monkeypatch.setattr(cli, "orthonormal_decomposition", full_tensor)
+        code, out, _ = run(capsys, "verify", "--model", model, "--format", "json")
+        assert code == 1
+        for rec in json.loads(out)["records"]:
+            trace = next(c for c in rec["checks"] if c["name"] == "trace_free_jacobi")
+            assert not trace["passed"]
+
     def test_corrupted_derivative_fails(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--model", "sphere:m=3,r=1.0", "--debug-corrupt"
@@ -343,15 +388,14 @@ class TestVerify:
 
 
 class TestChartPointCurvature:
-    @pytest.mark.parametrize("command, counts", [("analyze", (3, 3, 3)), ("verify", (15, 12, 9))])
+    @pytest.mark.parametrize("command, counts", [("analyze", (3, 3, 3)), ("verify", (12, 9, 6))])
     def test_one_curvature_pass_per_point(self, capsys, monkeypatch, command, counts):
         # metric_at / d_metric / d2_metric calls for the three default
         # points of fubini_study:n=2: one stacked call each per point for R
         # and nabla R together (6 per point before R was taken from nabla
         # R's pass); verify adds the rescaled chart's curvature, 3/2/1
-        # calls of the base callbacks, and the Christoffel symbols of the
-        # structure check, 1/1/1: they come from the same metric jet as
-        # the curvature, which includes d2_metric.
+        # calls of the base callbacks.  The structure checks read the
+        # Christoffel symbols of that same pass and call nothing more.
         seen = []
         build = cli.build_model
 

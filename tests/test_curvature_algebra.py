@@ -27,6 +27,7 @@ from weylgeom.tensor_core import (
     CurvatureTensor,
     InnerProduct,
     max_abs,
+    orthonormal_frame,
     symmetry_residual,
     transform_tensor,
 )
@@ -76,6 +77,34 @@ class TestRicciContraction:
         rho, tau = ricci_scalar(r0(g))
         assert_allclose(rho, 3.0 * g.g, atol=1e-10)
         assert_allclose(tau, 12.0, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_frames_match_orthonormal_round_trip(self, seed):
+        # Reference: contract in an orthonormal frame, then transport the
+        # form back with rho = B^-T rho_on B^-1.
+        m = 6
+        rng = np.random.default_rng(seed)
+        q1, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        q2, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        frame = q1 @ np.diag(np.exp(rng.uniform(-1.0, 1.0, m))) @ q2
+        assert np.linalg.cond(frame) <= np.e**2
+        a = transform_tensor(random_act(seed, m), frame)
+        b = orthonormal_frame(a.metric)
+        rho_on = np.einsum("ikkj->ij", transform_tensor(a, b).components)
+        rho_on = 0.5 * (rho_on + rho_on.T)
+        binv = np.linalg.inv(b)
+        expect = binv.T @ rho_on @ binv
+        expect = 0.5 * (expect + expect.T)
+        rho, tau = ricci_scalar(a)
+        assert max_abs(rho - expect) <= 1e-13 * max_abs(expect)
+        assert abs(tau - np.trace(rho_on)) <= 1e-13 * abs(np.trace(rho_on))
+
+    def test_euclidean_metric_is_a_plain_trace(self):
+        a = random_act(2, 6)
+        rho, tau = ricci_scalar(a)
+        expect = np.einsum("ikkj->ij", a.components)
+        assert np.array_equal(rho, 0.5 * (expect + expect.T))
+        assert tau == np.trace(rho)
 
     def test_strict_gate(self):
         c = np.zeros((3,) * 4)
