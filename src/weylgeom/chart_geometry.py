@@ -11,7 +11,7 @@ curvature, keep truncation and roundoff balanced for O(1) charts in 64
 bit floats; the fourth order stencil buys about three decades of
 Bianchi residual on stiff charts over the three point one.
 Curvature is evaluated on a stack of points at once: the metric, its
-derivatives, Gamma, dGamma and R are batched over the stack, and every
+derivatives, Gamma and R are batched over the stack, and every
 callback sees a block of points per call when the chart is stacked.
 
 Sign convention: R_ijkl = g(R(del_i, del_j) del_k, del_l) with
@@ -168,12 +168,14 @@ class MetricChart:
         """Symmetrized metrics g at the points us after the finiteness,
         symmetry and positivity checks; the first offending point in
         stack order raises, with its coordinates in the message."""
-        finite = np.isfinite(g).all(axis=(1, 2))
         gt = g.transpose(0, 2, 1)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             scale = np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
             asym = np.abs(g - gt).max(axis=(1, 2)) > tiers.CHART_METRIC_SYMMETRY * scale
-        sym = 0.5 * (g + gt)
+            sym = 0.5 * (g + gt)
+        # The symmetrized metric is the one returned: a finite g can
+        # overflow in the sum.
+        finite = np.isfinite(sym).all(axis=(1, 2))
         bad = ~finite | asym
         first = int(bad.argmax()) if bad.any() else len(g)
         try:
@@ -218,8 +220,8 @@ def _positive_definite(g: np.ndarray) -> bool:
 # One block of curvature evaluations holds at most this many floats of
 # per-point temporaries: m^4 for an analytic chart; otherwise the metric
 # values at the point's _jet_stencil, about 8 m^4.  Stacking pays while
-# the temporaries stay in cache; at m = 16 one analytic point per block
-# is fastest.
+# the temporaries stay in cache; at m = 16 blocks of up to 8 analytic
+# points time alike and larger blocks are slower.
 _CURVATURE_FLOATS = 2**16
 
 
@@ -306,12 +308,15 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
     return s
 
 
-def _christoffel_from(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Gamma[n, k, i, j] from stacks g^-1[n, k, l] and dg[n, a, i, j]."""
+def _christoffel_from(ginv: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Christoffel symbols of both kinds at a stack of points, from
+    g^-1[n, k, l] and dg[n, a, i, j]: the first kind
+    Gamma_{l,ij} = (1/2) S_ijl as [n, (ij), l] and the second kind
+    Gamma^k_ij = g^kl Gamma_{l,ij} as [n, k, i, j]."""
     n, m = ginv.shape[:2]
-    gamma = ginv @ np.swapaxes(_first_kind(dg).reshape(n, m * m, m), 1, 2)
-    gamma *= 0.5
-    return gamma.reshape(n, m, m, m)
+    first = _first_kind(dg).reshape(n, m * m, m)
+    first *= 0.5
+    return first, (ginv @ np.swapaxes(first, 1, 2)).reshape(n, m, m, m)
 
 
 def christoffel(chart: MetricChart, u: np.ndarray) -> np.ndarray:
@@ -321,25 +326,7 @@ def christoffel(chart: MetricChart, u: np.ndarray) -> np.ndarray:
     """
     u = chart.require_interior(u, extent=2.0 * chart.step2)
     g, dg, _ = _metric_jet(chart, u[None])
-    return _christoffel_from(np.linalg.inv(g), dg)[0]
-
-
-def _christoffel_d1(
-    ginv: np.ndarray, gamma: np.ndarray, dg: np.ndarray, d2g: np.ndarray
-) -> np.ndarray:
-    """dGamma[n, a, k, i, j] = d_a Gamma^k_ij at a stack of points, given
-    g^-1, Gamma, dg and d2g there.
-
-    d_a Gamma = -g^-1 (d_a g) Gamma + (1/2) g^-1 d_a S.
-    """
-    n, m = ginv.shape[:2]
-    # [n, a, k, l] = (g^-1 d_a g)^k_l, then contracted with Gamma^l_ij.
-    dginv_g = (ginv[:, None] @ dg).reshape(n, m * m, m)
-    first = dginv_g @ gamma.reshape(n, m, m * m)
-    # [n, a, k, ij] = g^kl d_a S_ijl.
-    ds = _first_kind(d2g).reshape(n, m, m * m, m)
-    second = ginv[:, None] @ np.swapaxes(ds, 2, 3)
-    return (0.5 * second.reshape(n, m * m, m * m) - first).reshape((n,) + (m,) * 4)
+    return _christoffel_from(np.linalg.inv(g), dg)[1][0]
 
 
 def _symmetrize_curvature(c: np.ndarray) -> np.ndarray:
@@ -364,19 +351,25 @@ def _curvature(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, np.ndarr
     bit the projection of L_ijkl - L_jikl.  The projection is linear, so
     it commutes with a central difference of L.
 
-    Both derivative modes run the same formula on the metric jet of
-    _metric_jet, which makes one call of each callback it uses.
+    L is built from the first kind symbols Gamma_{l,ij} = (1/2) S_ijl of
+    _first_kind, with no derivative of Gamma^s_jk and no lowering by g:
+    g_sl d_i Gamma^s_jk = d_i Gamma_{l,jk} - (d_i g_sl) Gamma^s_jk, and
+    Gamma_{l,is} - d_i g_sl = -Gamma_{s,il}, so
+
+        L_ijkl = (1/2) d_i S_jkl - Gamma_{s,il} Gamma^s_jk,
+
+    one m^5 product per point.  Both derivative modes run this formula
+    on the metric jet of _metric_jet, which makes one call of each
+    callback it uses.
     """
     n, m = us.shape
     g, dg, d2g = _metric_jet(chart, us)
-    ginv = np.linalg.inv(g)
-    gamma = _christoffel_from(ginv, dg)
-    dgamma = _christoffel_d1(ginv, gamma, dg, d2g)
-    # upper[n, i, s, jk]; Gamma^s_it Gamma^t_jk is [n, (s i), (j k)].
-    squares = (gamma.reshape(n, m * m, m) @ gamma.reshape(n, m, m * m)).reshape(n, m, m, m * m)
-    upper = dgamma.reshape(n, m, m, m * m) + np.swapaxes(squares, 1, 2)
-    # [n, i, jk, l] = upper[n, i, s, jk] g_sl.
-    lowered = (np.swapaxes(upper, 2, 3) @ g[:, None]).reshape((n,) + (m,) * 4)
+    first, gamma = _christoffel_from(np.linalg.inv(g), dg)
+    # [n, (i l), (j k)] = Gamma_{s,il} Gamma^s_jk.
+    squares = (first @ gamma.reshape(n, m, m * m)).reshape((n,) + (m,) * 4)
+    lowered = _first_kind(d2g)
+    lowered *= 0.5
+    lowered -= np.moveaxis(squares, 2, 4)
     # Every metric is validated, but differences of finite metrics can
     # still overflow.
     finite = np.isfinite(lowered).all(axis=(1, 2, 3, 4))

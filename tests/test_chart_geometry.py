@@ -12,6 +12,8 @@ from weylgeom.chart_geometry import (
     Box,
     DomainError,
     MetricChart,
+    _curvature,
+    _metric_jet,
     christoffel,
     conformal_rescale,
     covariant_derivative_riemann,
@@ -128,6 +130,17 @@ def einsum_cyclic_residual(nabla_r):
     )
 
 
+def traced_peak(f, *args):
+    """tracemalloc's peak in bytes over a call of f, after a warm call."""
+    f(*args)
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def orthonormal_components(chart, u):
     a, g = riemann_at(chart, u)
     return transform_tensor(a, orthonormal_frame(g)).components
@@ -227,15 +240,29 @@ class TestMetricChart:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_curvature_flags_non_finite_stencil_values(self):
-        # A finite metric whose difference stencils overflow.
+        # A finite metric, finite when symmetrized, whose difference
+        # stencils overflow.
         chart = MetricChart(
             dim=3,
-            metric_at=lambda u: 1e308 * np.eye(3),
+            metric_at=lambda u: 4e307 * np.eye(3),
             domain=Box(-np.ones(3), np.ones(3)),
         )
-        chart.metric(np.zeros(3))
+        assert np.isfinite(chart.metric(np.zeros(3))).all()
         with pytest.raises(DomainError, match="curvature is not finite"):
             riemann_at(chart, np.zeros(3))
+
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_metric_whose_symmetrization_overflows_is_not_finite(self, stacked):
+        # Every entry is finite, but g + g^T overflows on the diagonal.
+        chart = MetricChart(
+            dim=3,
+            metric_at=lambda u: 1e308 * np.broadcast_to(np.eye(3), np.shape(u)[:-1] + (3, 3)),
+            domain=Box(-np.ones(3), np.ones(3)),
+            stacked=stacked,
+        )
+        for evaluate in (chart.metric, lambda u: riemann_at(chart, u)):
+            with pytest.raises(DomainError, match="metric is not finite"):
+                evaluate(np.zeros(3))
 
     @pytest.mark.parametrize("stacked", [True, False])
     @pytest.mark.parametrize(
@@ -511,18 +538,87 @@ class TestCovariantDerivatives:
 
     def test_second_bianchi_memory_peak(self):
         # At m = 16 nabla R is one 8.4 MB array; the correction and the
-        # cyclic sum work on m^4 slabs of it (13.8 MB peak measured, 25.2
+        # cyclic sum work on m^4 slabs of it (12.9 MB peak measured, 25.2
         # MB with whole m^5 temporaries).
-        chart = fubini_study_chart(8)
-        u = np.full(16, 0.05)
-        second_bianchi_residual(chart, u)
-        tracemalloc.start()
-        try:
-            second_bianchi_residual(chart, u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(second_bianchi_residual, fubini_study_chart(8), np.full(16, 0.05))
         assert peak <= 16e6
+
+
+def rescaled_fubini_study_chart(m):
+    """exp(0.3 u_0) times the Fubini-Study metric, with analytic
+    derivatives."""
+
+    def alpha(u):
+        return np.exp(0.3 * u[0])
+
+    def d_alpha(u):
+        out = np.zeros(m)
+        out[0] = 0.3 * alpha(u)
+        return out
+
+    def d2_alpha(u):
+        out = np.zeros((m, m))
+        out[0, 0] = 0.09 * alpha(u)
+        return out
+
+    return conformal_rescale(fubini_study_chart(m // 2), alpha, d_alpha, d2_alpha)
+
+
+def textbook_lowered_curvature(g, dg, d2g):
+    """L_ijkl = g_sl (d_i Gamma^s_jk + Gamma^s_it Gamma^t_jk) at a stack
+    of points, with Gamma and d Gamma from the second kind formulas."""
+    ginv = np.linalg.inv(g)
+    s = dg + np.einsum("njil->nijl", dg) - np.einsum("nlij->nijl", dg)
+    ds = d2g + np.einsum("najil->naijl", d2g) - np.einsum("nalij->naijl", d2g)
+    gamma = 0.5 * np.einsum("nkl,nijl->nkij", ginv, s)
+    dgamma = 0.5 * np.einsum("nkl,naijl->nakij", ginv, ds) - np.einsum(
+        "nkp,napq,nqij->nakij", ginv, dg, gamma, optimize=True
+    )
+    squares = np.einsum("nsit,ntjk->nisjk", gamma, gamma, optimize=True)
+    return np.einsum("nsl,nisjk->nijkl", g, dgamma + squares, optimize=True)
+
+
+class TestCurvatureCore:
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    @pytest.mark.parametrize("m", [4, 8, 16])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda m: fubini_study_chart(m // 2),
+            lambda m: complex_hyperbolic_chart(m // 2),
+            lambda m: perturbed_flat_chart(m, 0.1, seed=3),
+            rescaled_fubini_study_chart,
+        ],
+        ids=["fubini_study", "complex_hyperbolic", "perturbed_flat", "rescaled_fubini_study"],
+    )
+    def test_lowered_curvature_is_the_textbook_formula(self, build, m, analytic):
+        # (1/2) d_i S_jkl - Gamma_{s,il} Gamma^s_jk against the second
+        # kind formula, on the same metric jet: at most 9.4e-16 measured.
+        chart = build(m)
+        assert chart.analytic
+        if not analytic:
+            chart = dataclasses.replace(chart, d_metric=None, d2_metric=None)
+        us = default_probe_points(chart, 2)
+        expect = textbook_lowered_curvature(*_metric_jet(chart, us))
+        got = _curvature(chart, us)[0]
+        assert max_abs(expect) > 1e-2
+        assert max_abs(got - expect) <= 1e-13 * max_abs(expect)
+
+    @pytest.mark.parametrize("m", [4, 8, 16])
+    @pytest.mark.parametrize("family", ["fubini_study", "complex_hyperbolic"])
+    def test_analytic_bianchi_residuals_keep_their_size(self, family, m):
+        # Max over the default probe points: 2.0e-12 to 3.1e-11, and
+        # 4.9e-11 with the second kind formula; a second order nabla R
+        # stencil gives 1.6e-10 and up.
+        chart = CHART_FAMILIES[family](m)
+        residuals = [second_bianchi_residual(chart, u) for u in default_probe_points(chart)]
+        assert max(residuals) <= 1e-10
+
+    def test_riemann_at_memory_peak(self):
+        # At m = 16 the jet, L and the projection hold a few m^4 arrays
+        # of 0.5 MB (1.74 MB peak measured, 2.76 MB with the second kind
+        # formula).
+        assert traced_peak(riemann_at, fubini_study_chart(8), np.full(16, 0.05)) <= 2e6
 
 
 class TestConformalRescale:
