@@ -112,6 +112,8 @@ class MetricChart:
     second coordinate derivatives of the metric when supplied; both must
     be present for the chart to count as analytic.  A chart with only
     one is a finite difference chart, and that callback is not called.
+    d2_metric(u)[a, b] must be symmetric in (a, b), as a second
+    derivative is: curvature takes the callback's values as they are.
 
     A chart that sets ``stacked`` declares that each of its callbacks
     also maps a stack of points, shape (N, m), to a stack of values:
@@ -220,8 +222,11 @@ def _positive_definite(g: np.ndarray) -> bool:
 # One block of curvature evaluations holds at most this many floats of
 # per-point temporaries: m^4 for an analytic chart; otherwise the metric
 # values at the point's _jet_stencil, about 8 m^4.  Stacking pays while
-# the temporaries stay in cache; at m = 16 blocks of up to 8 analytic
-# points time alike and larger blocks are slower.
+# the temporaries stay in cache.  One analytic nabla R pass at m = 16
+# (2 vCPUs, one BLAS thread, best of 5 or 6, five rounds on a noisy host)
+# took 59-102 ms in blocks of 1 to 8 points, with no size ahead of the
+# noise, and 79-108 ms in blocks of 16 or 32.  At m = 8 blocks of 16
+# points (3.7-5.6 ms) timed alike with blocks of 32 or more.
 _CURVATURE_FLOATS = 2**16
 
 
@@ -270,7 +275,9 @@ def _metric_jet(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Validated metrics g[n, i, j] and derivatives dg[n, a, i, j] and
     d2g[n, a, b, i, j] at a stack of points, the one place where the
     derivative mode picks a formula.  An analytic chart calls each
-    callback once.  Otherwise one metric call covers the _jet_stencil
+    callback once and returns the metric validated and both derivatives
+    as the callbacks give them; d2g is symmetric in (a, b) by the
+    MetricChart contract.  Otherwise one metric call covers the _jet_stencil
     points at reach step2, and the differences are fourth order: along
     each axis, and for a != b along b of those along a (B. Fornberg,
     Math. Comp. 51, 1988).  The points and their axis points are
@@ -281,8 +288,7 @@ def _metric_jet(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, np.ndar
     if chart.analytic:
         g = chart._validated(us, chart.callback_stack(chart.metric_at, us, 2))
         dg = chart.callback_stack(chart.d_metric, us, 3)
-        d2g = chart.callback_stack(chart.d2_metric, us, 4)
-        return g, dg, 0.5 * (d2g + np.swapaxes(d2g, 1, 2))
+        return g, dg, chart.callback_stack(chart.d2_metric, us, 4)
     h, axial = chart.step2, 4 * m + 1
     points = _jet_stencil(us, h)
     values = chart.callback_stack(chart.metric_at, points.reshape(-1, m), 2).reshape(n, -1, m, m)
@@ -510,12 +516,16 @@ def conformal_rescale(
             dg = np.asarray(base_d1(u), dtype=float)
             d2g = np.asarray(base_d2(u), dtype=float)
             da = per_point(d_alpha, u, 1)
+            # The user's d2_alpha is made symmetric, and the two cross
+            # terms are summed first, so that d2g is symmetric in (a, b)
+            # bit for bit whenever the base chart's is.
             d2a = per_point(d2_alpha, u, 2)
+            d2a = 0.5 * (d2a + np.swapaxes(d2a, -1, -2))
+            cross = da[..., :, None, None, None] * dg[..., None, :, :, :]
             return (
                 per_point(alpha, u, 0)[..., None, None, None, None] * d2g
                 + d2a[..., :, :, None, None] * g[..., None, None, :, :]
-                + da[..., :, None, None, None] * dg[..., None, :, :, :]
-                + da[..., None, :, None, None] * dg[..., :, None, :, :]
+                + (cross + np.swapaxes(cross, -4, -3))
             )
 
         new_d1, new_d2 = scaled_d1, scaled_d2

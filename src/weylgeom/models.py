@@ -173,11 +173,14 @@ def _projective_family(n: int, sign: float, domain, name: str) -> MetricChart:
     jmat = standard_phi(m).matrix
     eye = np.eye(m)
     # d2P[a, b] = e_a e_b^T + e_b e_a^T + J_a J_b^T + J_b J_a^T with J_a the
-    # a-th column of J; it does not depend on the point.
+    # a-th column of J; it does not depend on the point, and of its m^4
+    # entries at most 4 m^2 are nonzero, kept as flat indices and values.
     outer_e = eye[:, None, :, None] * eye[None, :, None, :]
     outer_j = jmat.T[:, None, :, None] * jmat.T[None, :, None, :]
     d2p = outer_e + outer_j
     d2p = d2p + np.transpose(d2p, (1, 0, 2, 3))
+    d2p_at = np.flatnonzero(d2p)
+    d2p_values = d2p.ravel()[d2p_at]
 
     def metric(u):
         v = u @ jmat.T
@@ -203,19 +206,32 @@ def _projective_family(n: int, sign: float, domain, name: str) -> MetricChart:
         )
 
     def d2(u):
-        q, dq, p, dp = first_order(u)
-        q4 = q[..., None, None, :, :]
-        dqdq = _outer(dq, dq)[..., None, None]
-        dqab = (sign * 2.0 * eye)[..., None, None]
-        # Accumulated in place: at m = 16 each term is 512 KB.
-        out = (-dqab / q4**2 + 2.0 * dqdq / q4**3) * eye
-        out += (2.0 * sign * (dqab / q4**3 - 3.0 * dqdq / q4**4)) * p[..., None, None, :, :]
-        cross = dq[..., :, None, None, None] * dp[..., None, :, :, :]
-        cross = cross + np.swapaxes(cross, -4, -3)
-        cross *= 2.0 * sign / q4**3
-        out += cross
-        out -= sign / q4**2 * d2p
-        return out
+        """With s = sign and W[c, ij] = (2s/q^3) dP[c, ij] - (3s/q^4) dq_c P_ij,
+
+            d2g[a, b, i, j] = dq_a W[b, ij] + dq_b W[a, ij] + delta_ab (4/q^3) P_ij
+                + delta_ij (2 dq_a dq_b/q^3 - 2s delta_ab/q^2) - (s/q^2) d2P[a, b, i, j].
+
+        The first line is one batched product A @ W over c, with
+        A[(a, b), c] = dq_a delta_bc + dq_b delta_ac; each delta term is
+        one more column of A and row of W.  So the m^4 result is written
+        once, and d2P only at its nonzero entries.  Rows (a, b) and (b, a)
+        of A are equal, which keeps d2g symmetric in (a, b).
+        """
+        lead = np.shape(u)[:-1]
+        q, dq, p, dp = first_order(np.reshape(u, (-1, m)))
+        k = len(dq)
+        w = np.empty((k, m + 2, m, m))
+        w[:, :m] = 2.0 * sign / q[:, None] ** 3 * dp
+        w[:, :m] -= 3.0 * sign / q[:, None] ** 4 * (dq[:, :, None, None] * p[:, None])
+        w[:, m] = 4.0 / q**3 * p
+        w[:, m + 1] = eye
+        a = np.empty((k, m, m, m + 2))
+        a[..., :m] = dq[:, :, None, None] * eye + dq[:, None, :, None] * eye[:, None, :]
+        a[..., m] = eye
+        a[..., m + 1] = 2.0 * _outer(dq, dq) / q**3 - (2.0 * sign / q**2) * eye
+        out = a.reshape(k, m * m, m + 2) @ w.reshape(k, m + 2, m * m)
+        out.reshape(k, -1)[:, d2p_at] -= (sign / q.reshape(k, 1) ** 2) * d2p_values
+        return out.reshape(lead + (m,) * 4)
 
     return MetricChart(
         dim=m, metric_at=metric, domain=domain, d_metric=d1, d2_metric=d2, name=name, stacked=True

@@ -151,15 +151,30 @@ def projective_derivatives_by_loop(n, sign, u):
     return d1, d2
 
 
+PROJECTIVE_FAMILY = pytest.mark.parametrize(
+    "build,sign", [(fubini_study_chart, 1.0), (complex_hyperbolic_chart, -1.0)]
+)
+
+
 class TestProjectiveDerivatives:
-    @pytest.mark.parametrize("n", [2, 4])
-    @pytest.mark.parametrize("build,sign", [(fubini_study_chart, 1.0), (complex_hyperbolic_chart, -1.0)])
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @PROJECTIVE_FAMILY
     def test_closed_form_matches_loop(self, n, build, sign):
         chart = build(n)
         for u in chart.probe_points(4, seed=5):
             d1, d2 = projective_derivatives_by_loop(n, sign, u)
             assert max_abs(chart.d_metric(u) - d1) <= 1e-14
             assert max_abs(chart.d2_metric(u) - d2) <= 1e-14
+
+    @PROJECTIVE_FAMILY
+    def test_stacked_block_matches_loop(self, build, sign):
+        # One batched product over a 40 point block, at the size the
+        # command line benchmarks.
+        chart = build(8)
+        us = chart.probe_points(40, seed=5)
+        d2 = chart.d2_metric(us)
+        for u, got in zip(us, d2):
+            assert max_abs(got - projective_derivatives_by_loop(8, sign, u)[1]) <= 1e-14
 
 
 class TestPerturbedFlat:
@@ -265,6 +280,15 @@ class TestStackedMetric:
             single = np.array([f(u) for u in us])
             assert stack.shape == (50,) + (chart.dim,) * rank
             assert max_abs(stack - single) <= 1e-15 * max_abs(single)
+
+    def test_d2_metric_is_symmetric(self, name):
+        # Curvature takes d2_metric as it is, so every model keeps it
+        # symmetric in (a, b) bit for bit; the polynomial example's
+        # quadratic coefficients are not.
+        chart = STACKED_MODELS[name]()
+        us = chart.probe_points(40, seed=3)
+        for d2 in [chart.d2_metric(us)] + [chart.d2_metric(u)[None] for u in us]:
+            assert np.array_equal(d2, np.swapaxes(d2, 1, 2))
 
     def test_analytic_curvature_matches_point_loop(self, name):
         chart = STACKED_MODELS[name]()
