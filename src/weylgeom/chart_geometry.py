@@ -466,7 +466,6 @@ def conformal_rescale(
     alpha: Callable[[np.ndarray], float],
     d_alpha: Callable[[np.ndarray], np.ndarray] | None = None,
     d2_alpha: Callable[[np.ndarray], np.ndarray] | None = None,
-    check_points: int = 16,
 ) -> MetricChart:
     """Chart with metric alpha(u) g(u) for a positive scaling function.
 
@@ -477,7 +476,7 @@ def conformal_rescale(
     result is stacked when the base chart is; alpha and its derivative
     callbacks are still called once per point.
     """
-    for p in chart.probe_points(check_points, seed=0):
+    for p in chart.probe_points(16, seed=0):
         val = float(alpha(p))
         if not val > 0.0:
             raise ValueError(f"conformal factor must be positive, got {val} at u={p}")

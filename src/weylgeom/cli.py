@@ -56,7 +56,7 @@ from .classifier import (
     analyze_point,
     orthonormal_decomposition,
 )
-from .models import ModelSpec, build_model, polynomial_metric_chart, standard_phi
+from .models import ModelSpec, build_model, standard_phi
 
 __all__ = [
     "ConfigError",
@@ -328,34 +328,23 @@ def resolve_model(config: AnalysisConfig):
     'algebraic' and target is a MetricChart or CurvatureTensor.
     """
     if config.metric is not None:
-        spec = dict(config.metric)
-        try:
-            chart = polynomial_metric_chart(
-                np.asarray(spec["constant"], dtype=float),
-                None if "linear" not in spec else np.asarray(spec["linear"], dtype=float),
-                None if "quadratic" not in spec else np.asarray(spec["quadratic"], dtype=float),
-                extent=float(spec.get("extent", 0.5)),
-            )
-        except DomainError:
-            raise
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ConfigError(f"bad external metric: {exc}") from exc
-        _require_dimension(chart.dim, chart.name)
-        return "chart", _apply_fd_step(chart, config), chart.name
-    if config.model is None:
+        spec, bad = ModelSpec("polynomial", config.metric), "bad external metric"
+    elif config.model is not None:
+        spec, bad = config.model, "bad model"
+    else:
         raise ConfigError("config needs a model or an external metric")
     try:
-        kind = config.model.kind
-        built = build_model(config.model)
+        kind = spec.kind
+        built = build_model(spec)
     except DomainError:
         raise
     except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"bad model: {exc}") from exc
-    _require_dimension(built.dim, config.model.name)
+        raise ConfigError(f"{bad}: {exc}") from exc
+    _require_dimension(built.dim, spec.name)
     if kind == "chart":
         built = _apply_fd_step(built, config)
         return kind, built, built.name
-    return kind, built, config.model.name
+    return kind, built, spec.name
 
 
 def _require_dimension(dim: int, name: str) -> None:
@@ -703,10 +692,15 @@ def cmd_spectrum(config: AnalysisConfig) -> tuple[dict, int]:
 # text rendering
 
 
+def _record_header(rec: dict) -> str:
+    if rec["point"] is None:
+        return "algebraic model:"
+    return f"point [{', '.join(_fmt(x) for x in rec['point'])}]:"
+
+
 def _text_analyze(report: dict, lines: list[str]) -> None:
     for rec in report["records"]:
-        where = "algebraic model" if rec["point"] is None else f"point [{', '.join(_fmt(x) for x in rec['point'])}]"
-        lines.append(f"{where}:")
+        lines.append(_record_header(rec))
         verdict = rec["verdict"]
         lines.append(f"  verdict: {verdict['kind']}")
         if verdict["lambda0"] is not None:
@@ -736,8 +730,7 @@ def _text_analyze(report: dict, lines: list[str]) -> None:
 
 def _text_verify(report: dict, lines: list[str]) -> None:
     for rec in report["records"]:
-        where = "algebraic model" if rec["point"] is None else f"point [{', '.join(_fmt(x) for x in rec['point'])}]"
-        lines.append(f"{where}:")
+        lines.append(_record_header(rec))
         for check in rec["checks"]:
             status = "pass" if check["passed"] else "FAIL"
             lines.append(
@@ -753,8 +746,7 @@ def _text_verify(report: dict, lines: list[str]) -> None:
 
 def _text_spectrum(report: dict, lines: list[str]) -> None:
     for rec in report["records"]:
-        where = "algebraic model" if rec["point"] is None else f"point [{', '.join(_fmt(x) for x in rec['point'])}]"
-        lines.append(f"{where}:")
+        lines.append(_record_header(rec))
         for idx, row in enumerate(rec["spectra"]):
             lines.append(f"  {idx:4d}  " + "  ".join(_fmt(v) for v in row))
 

@@ -2,14 +2,25 @@
 
 Chart models: flat space, the round sphere (stereographic), hyperbolic
 space (conformal ball), the complex projective model in inhomogeneous
-coordinates, its negative curvature dual, and a seeded perturbed flat
-chart as a negative control.  All charts carry analytic first and
-second metric derivatives, so the tight tolerance tiers apply; the
-curvature pipeline still exercises its finite difference path when a
-chart is rebuilt without callbacks.  Every callback, the metric and
-both derivatives, broadcasts over leading axes of its point argument:
-a stack of points of shape (N, m) maps to values of shape (N, m, m),
-(N, m, m, m) and (N, m, m, m, m), so every chart is stacked.
+coordinates, its negative curvature dual, a seeded perturbed flat chart
+as a negative control, and explicit polynomial metrics.  They rest on
+three metric families, each with one implementation of the metric and
+its two derivatives:
+
+- conformally flat, g = c / (a + sigma |u|^2)^2 * identity: flat
+  (sigma = 0), the sphere (+1) and hyperbolic space (-1);
+- projective, g = [(1 + s |u|^2) I - s P] / (1 + s |u|^2)^2: the
+  complex projective model (s = +1) and its dual (s = -1);
+- polynomial, g = constant + linear u + quadratic u u: the external
+  metric format, and the perturbed flat chart.
+
+All charts carry analytic first and second metric derivatives, so the
+tight tolerance tiers apply; the curvature pipeline still exercises its
+finite difference path when a chart is rebuilt without callbacks.
+Every callback, the metric and both derivatives, broadcasts over
+leading axes of its point argument: a stack of points of shape (N, m)
+maps to values of shape (N, m, m), (N, m, m, m) and (N, m, m, m, m), so
+every chart is stacked.
 
 Complex models use interleaved realification: z_j = u_{2j-1} + i u_{2j}
 (one based), with the standard block structure as the complex unit.
@@ -25,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chart_geometry import Ball, Box, MetricChart
-from .curvature_algebra import complex_space_form_act, random_act
+from .curvature_algebra import complex_space_form_act, r0, random_act
 from .tensor_core import CurvatureTensor, HermitianStructure, InnerProduct
 
 __all__ = [
@@ -85,37 +96,37 @@ def _linear_quadratic(u: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> tuple[np
     return lin.reshape(lead), quad.reshape(lead)
 
 
-def flat_chart(m: int) -> MetricChart:
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    eye = np.eye(m)
-    return MetricChart(
-        dim=m,
-        metric_at=lambda u: np.broadcast_to(eye, np.shape(u)[:-1] + (m, m)),
-        domain=Box(-5.0 * np.ones(m), 5.0 * np.ones(m)),
-        d_metric=lambda u: np.zeros(np.shape(u)[:-1] + (m, m, m)),
-        d2_metric=lambda u: np.zeros(np.shape(u)[:-1] + (m, m, m, m)),
-        name=f"flat(m={m})",
-        stacked=True,
-    )
+def _conformally_flat(m: int, c: float, a: float, sigma: float, domain, name: str) -> MetricChart:
+    """Chart for g = phi * identity with phi = c / q^2, q = a + sigma |u|^2.
 
-
-def _conformal_chart(m: int, phi0, dphi0, d2phi0, domain, name: str) -> MetricChart:
-    """Chart for g = phi0(|u|^2) * identity with scalar derivatives
-    supplied as functions of the point; phi0 broadcasts over points."""
+    d_k phi = k1 u_k / q^3 and d_k d_l phi = k1 delta_kl / q^3
+    + k2 u_k u_l / q^4, with k1 = -4 sigma c and k2 = 24 sigma^2 c.
+    """
     eye = np.eye(m)
+    k1 = -4.0 * sigma * c
+    k2 = 24.0 * sigma**2 * c
 
     def metric(u):
-        return np.multiply.outer(phi0(u), eye)
+        return np.multiply.outer(c / (a + sigma * _square_norm(u)) ** 2, eye)
 
     def d1(u):
-        return dphi0(u)[..., None, None] * eye
+        q = (a + sigma * _dot_square_norm(u))[..., None]
+        return (k1 * u / q**3)[..., None, None] * eye
 
     def d2(u):
-        return d2phi0(u)[..., None, None] * eye
+        q = (a + sigma * _dot_square_norm(u))[..., None, None]
+        return (k1 * eye / q**3 + k2 * _outer(u, u) / q**4)[..., None, None] * eye
 
     return MetricChart(
         dim=m, metric_at=metric, domain=domain, d_metric=d1, d2_metric=d2, name=name, stacked=True
+    )
+
+
+def flat_chart(m: int) -> MetricChart:
+    if m < 2:
+        raise ValueError(f"need m >= 2, got {m}")
+    return _conformally_flat(
+        m, 1.0, 1.0, 0.0, Box(-5.0 * np.ones(m), 5.0 * np.ones(m)), f"flat(m={m})"
     )
 
 
@@ -126,20 +137,8 @@ def sphere_chart(m: int, r: float = 1.0) -> MetricChart:
         raise ValueError(f"need m >= 2, got {m}")
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
-    c = 4.0 * r**4
-
-    def phi0(u):
-        return c / (r**2 + _square_norm(u)) ** 2
-
-    def dphi0(u):
-        return -4.0 * c * u / (r**2 + _dot_square_norm(u))[..., None] ** 3
-
-    def d2phi0(u):
-        q = (r**2 + _dot_square_norm(u))[..., None, None]
-        return -4.0 * c * np.eye(m) / q**3 + 24.0 * c * _outer(u, u) / q**4
-
-    return _conformal_chart(
-        m, phi0, dphi0, d2phi0, Box(-3.0 * np.ones(m), 3.0 * np.ones(m)), f"sphere(m={m},r={r})"
+    return _conformally_flat(
+        m, 4.0 * r**4, r**2, 1.0, Box(-3.0 * np.ones(m), 3.0 * np.ones(m)), f"sphere(m={m},r={r})"
     )
 
 
@@ -148,18 +147,7 @@ def hyperbolic_chart(m: int) -> MetricChart:
     sectional curvature -1."""
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-
-    def phi0(u):
-        return 4.0 / (1.0 - _square_norm(u)) ** 2
-
-    def dphi0(u):
-        return 16.0 * u / (1.0 - _dot_square_norm(u))[..., None] ** 3
-
-    def d2phi0(u):
-        q = (1.0 - _dot_square_norm(u))[..., None, None]
-        return 16.0 * np.eye(m) / q**3 + 96.0 * _outer(u, u) / q**4
-
-    return _conformal_chart(m, phi0, dphi0, d2phi0, Ball(1.0, margin=0.1), f"hyperbolic(m={m})")
+    return _conformally_flat(m, 4.0, 1.0, -1.0, Ball(1.0, margin=0.1), f"hyperbolic(m={m})")
 
 
 def _projective_family(n: int, sign: float, domain, name: str) -> MetricChart:
@@ -260,9 +248,10 @@ def perturbed_flat_chart(m: int, eps: float, seed: int) -> MetricChart:
 
     g(u) = I + eps * (C0 + sum_a u_a C1[a] / sqrt(m)
            + sum_ab u_a u_b C2[a, b] / m), all C symmetric with entries
-    uniform in [-1, 1].  Positivity is checked on a deterministic point
-    sample at construction; generic draws break eigenvalue constancy of
-    the conformal part, which is the point of the model.
+    uniform in [-1, 1], as a polynomial metric.  Positivity is checked on
+    a deterministic point sample at construction; generic draws break
+    eigenvalue constancy of the conformal part, which is the point of the
+    model.
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
@@ -277,26 +266,12 @@ def perturbed_flat_chart(m: int, eps: float, seed: int) -> MetricChart:
         [[sym(rng.uniform(-1.0, 1.0, size=(m, m))) for _ in range(m)] for _ in range(m)]
     )
     c2 = 0.5 * (c2_raw + np.transpose(c2_raw, (1, 0, 2, 3))) / m
-    eye = np.eye(m)
-
-    def metric(u):
-        lin, quad = _linear_quadratic(u, c1, c2)
-        return eye + eps * (c0 + lin + quad)
-
-    def d1(u):
-        return eps * (c1 + 2.0 * np.tensordot(u, c2, axes=([-1], [1])))
-
-    def d2(u):
-        return np.broadcast_to(eps * 2.0 * c2, np.shape(u)[:-1] + c2.shape)
-
-    chart = MetricChart(
-        dim=m,
-        metric_at=metric,
-        domain=Box(-0.5 * np.ones(m), 0.5 * np.ones(m)),
-        d_metric=d1,
-        d2_metric=d2,
+    chart = polynomial_metric_chart(
+        np.eye(m) + eps * c0,
+        eps * c1,
+        eps * c2,
+        extent=0.5,
         name=f"perturbed_flat(m={m},eps={eps},seed={seed})",
-        stacked=True,
     )
     for p in chart.probe_points(16, seed=0):
         chart.metric(p)  # raises DomainError on SPD violation
@@ -316,9 +291,11 @@ def polynomial_metric_chart(
 
     g(u) = constant + sum_a u_a linear[a] + sum_ab u_a u_b quadratic[a, b].
     This is the machine readable external metric format accepted by the
-    command line front end.
+    command line front end; the coefficients may be nested lists, and
+    extent anything float() takes.
     """
     g0 = np.asarray(constant, dtype=float)
+    extent = float(extent)
     if g0.ndim != 2 or g0.shape[0] != g0.shape[1]:
         raise ValueError(f"constant term must be square, got {g0.shape}")
     m = g0.shape[0]
@@ -369,8 +346,6 @@ class ModelSpec:
 
 
 def _algebraic_space_form(m: int, lambda0: float = 1.0) -> CurvatureTensor:
-    from .curvature_algebra import r0
-
     g = InnerProduct.euclidean(m)
     return CurvatureTensor(lambda0 * r0(g).components, g)
 
@@ -405,11 +380,4 @@ def build_model(spec: ModelSpec):
     unknown = set(spec.params) - allowed
     if unknown:
         raise ValueError(f"model {spec.name!r} got unknown parameters {sorted(unknown)}")
-    params = dict(spec.params)
-    if spec.name == "polynomial":
-        for key in ("constant", "linear", "quadratic"):
-            if key in params:
-                params[key] = np.asarray(params[key], dtype=float)
-    if spec.name == "random" and "k" in params and params["k"] is None:
-        del params["k"]
-    return builder(**params)
+    return builder(**spec.params)

@@ -217,6 +217,26 @@ class TestAnalyze:
         doc = run_json(capsys, "analyze", str(cfg))
         assert doc["records"][0]["verdict"]["kind"] == "ConformallyFlat"
 
+    @pytest.mark.parametrize("extent", ["0.4", 1])
+    def test_external_metric_extent(self, tmp_path, capsys, extent):
+        # The metric key holds the polynomial model's parameters; its
+        # extent is anything float() takes, echoed as given.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"metric": {"constant": np.eye(3).tolist(), "extent": extent}}))
+        doc = run_json(capsys, "analyze", str(cfg))
+        assert doc["model_name"] == "polynomial"
+        assert doc["config"]["metric"]["extent"] == extent
+        points = np.array([rec["point"] for rec in doc["records"]])
+        assert 0.1 * float(extent) < np.abs(points).max() < float(extent)
+
+    def test_rejected_external_metric(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        metric = {"constant": np.eye(3).tolist(), "linear": np.zeros((2, 3, 3)).tolist()}
+        cfg.write_text(json.dumps({"metric": metric}))
+        code, out, err = run(capsys, "analyze", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: bad external metric: coefficient array shapes")
+
     def test_boundary_point_is_domain_error(self, capsys):
         code, _, err = run(
             capsys, "analyze", "--model", "flat:m=3", "--point", "4.9999,0.0,0.0"

@@ -335,6 +335,52 @@ class TestStackedMetric:
         assert max_abs(stacked - looped) <= 1e-8
 
 
+def _polynomial_params(m):
+    """Coefficients of a polynomial metric near 2 I, symmetric in (i, j)."""
+    rng = np.random.default_rng(m)
+    lin = rng.uniform(-1.0, 1.0, (m, m, m)) / m
+    quad = rng.uniform(-1.0, 1.0, (m, m, m, m)) / m**2
+    return {
+        "constant": 2.0 * np.eye(m),
+        "linear": lin + np.swapaxes(lin, 1, 2),
+        "quadratic": quad + np.swapaxes(quad, 2, 3),
+    }
+
+
+CHART_PARAMS = {
+    "flat": lambda m: {"m": m},
+    "sphere": lambda m: {"m": m, "r": 1.5},
+    "hyperbolic": lambda m: {"m": m},
+    "fubini_study": lambda m: {"n": m // 2},
+    "complex_hyperbolic": lambda m: {"n": m // 2},
+    "perturbed_flat": lambda m: {"m": m, "eps": 0.1, "seed": 2},
+    "polynomial": _polynomial_params,
+}
+
+
+def central_difference(f, u, h=1e-3):
+    """Fourth order central difference of the stacked callback f at u,
+    with the differentiation axis first."""
+    m = len(u)
+    steps = h * np.eye(m)
+    values = f(np.concatenate([u + 2.0 * steps, u + steps, u - steps, u - 2.0 * steps]))
+    v = values.reshape((4, m) + values.shape[1:])
+    return (-v[0] + 8.0 * v[1] - 8.0 * v[2] + v[3]) / (12.0 * h)
+
+
+@pytest.mark.parametrize("m", [4, 16])
+@pytest.mark.parametrize("name", sorted(CHART_MODELS))
+def test_derivatives_match_central_differences(name, m):
+    # Each metric family writes its metric and both derivatives once;
+    # the derivatives must be those of the metric it returns.
+    chart = build_model(ModelSpec(name, CHART_PARAMS[name](m)))
+    assert chart.dim == m
+    for u in chart.probe_points(2, seed=7):
+        for f, df in ((chart.metric_at, chart.d_metric), (chart.d_metric, chart.d2_metric)):
+            exact = df(u)
+            assert max_abs(central_difference(f, u) - exact) <= 1e-8 * max(1.0, max_abs(exact))
+
+
 class TestRegistry:
     def test_registry_contents(self):
         assert set(CHART_MODELS) == {
@@ -367,6 +413,25 @@ class TestRegistry:
     def test_build_polynomial_from_plain_lists(self):
         chart = build_model(ModelSpec("polynomial", {"constant": [[2.0, 0.0], [0.0, 1.0]]}))
         assert_allclose(chart.metric(np.zeros(2)), np.diag([2.0, 1.0]))
+        params = _polynomial_params(3)
+        chart = build_model(ModelSpec("polynomial", {k: v.tolist() for k, v in params.items()}))
+        expect = polynomial_metric_chart(**params)
+        u = np.array([0.1, -0.2, 0.3])
+        for f in ("metric_at", "d_metric", "d2_metric"):
+            assert np.array_equal(getattr(chart, f)(u), getattr(expect, f)(u))
+
+    def test_build_random_with_null_k(self):
+        a = build_model(ModelSpec("random", {"seed": 2, "m": 5, "k": None}))
+        b = build_model(ModelSpec("random", {"seed": 2, "m": 5}))
+        assert np.array_equal(a.components, b.components)
+
+    @pytest.mark.parametrize(
+        "name,params,m",
+        [("flat", {"m": -2}, -2), ("sphere", {"m": -1}, -1), ("sphere", {"m": 1, "r": -1}, 1)],
+    )
+    def test_dimension_guard_comes_first(self, name, params, m):
+        with pytest.raises(ValueError, match=f"^need m >= 2, got {m}$"):
+            build_model(ModelSpec(name, params))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
