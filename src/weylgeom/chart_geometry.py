@@ -5,11 +5,13 @@ A chart supplies the metric as a function of coordinates, optionally
 with analytic first and second derivative callbacks.  Without both,
 one fourth order stencil on the metric, of reach h^(1/2)/4 for h =
 fd_step, gives the metric and its first and second derivatives, and one
-curvature formula serves both modes; differencing the curvature tensor
-itself takes twice that reach.  The reaches, chosen against analytic
-curvature, keep truncation and roundoff balanced for O(1) charts in 64
-bit floats; the fourth order stencil buys about three decades of
-Bianchi residual on stiff charts over the three point one.
+curvature formula serves both modes; the covariant derivative of the
+curvature differences the jet, d2g and the Christoffel symbols, at twice
+that reach and joins the differences by the product rule.  The reaches,
+chosen against analytic curvature, keep truncation and roundoff balanced
+for O(1) charts in 64 bit floats; the fourth order stencil buys about
+three decades of Bianchi residual on stiff charts over the three point
+one.  A stencil point that rounds onto its centre is a DomainError.
 Curvature is evaluated on a stack of points at once: the metric, its
 derivatives, Gamma and R are batched over the stack, and every
 callback sees a block of points per call when the chart is stacked.
@@ -144,9 +146,10 @@ class MetricChart:
 
     @property
     def step3(self) -> float:
-        """Outer reach when differencing the curvature tensor itself.
+        """Outer reach of the nabla R stencil, which differences the jet
+        (d2g and the Christoffel symbols) that curvature is built from.
 
-        Analytic charts evaluate curvature to near machine precision, so
+        Analytic charts evaluate the jet to near machine precision, so
         a small reach balances the fourth order truncation against eps/h
         roundoff; finite difference charts carry smooth stencil bias and
         want a reach wider than the metric stencil's.
@@ -219,14 +222,16 @@ def _positive_definite(g: np.ndarray) -> bool:
     return True
 
 
-# One block of curvature evaluations holds at most this many floats of
-# per-point temporaries: m^4 for an analytic chart; otherwise the metric
-# values at the point's _jet_stencil, about 8 m^4.  Stacking pays while
-# the temporaries stay in cache.  One analytic nabla R pass at m = 16
-# (2 vCPUs, one BLAS thread, best of 5 or 6, five rounds on a noisy host)
-# took 59-102 ms in blocks of 1 to 8 points, with no size ahead of the
-# noise, and 79-108 ms in blocks of 16 or 32.  At m = 8 blocks of 16
-# points (3.7-5.6 ms) timed alike with blocks of 32 or more.
+# One block of the nabla R pass holds at most this many floats of
+# per-point temporaries: the jet's m^4 d2g for an analytic chart, but at
+# least one whole axis of 4 points; otherwise the metric values at the
+# point's _jet_stencil, about 8 m^4.  Stacking pays while the temporaries
+# stay in cache.  When each stencil point formed the curvature (its m^4
+# work now runs once per axis), one analytic pass at m = 16 (2 vCPUs,
+# one BLAS thread, best of 5 or 6, five rounds on a noisy host) took
+# 59-102 ms in blocks of 1 to 8 points, with no size ahead of the noise,
+# and 79-108 ms in blocks of 16 or 32.  At m = 8 blocks of 16 points
+# (3.7-5.6 ms) timed alike with blocks of 32 or more.
 _CURVATURE_FLOATS = 2**16
 
 
@@ -291,6 +296,7 @@ def _metric_jet(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, np.ndar
         return g, dg, chart.callback_stack(chart.d2_metric, us, 4)
     h, axial = chart.step2, 4 * m + 1
     points = _jet_stencil(us, h)
+    _require_distinct(us, points[:, 1:axial], h)
     values = chart.callback_stack(chart.metric_at, points.reshape(-1, m), 2).reshape(n, -1, m, m)
     core = chart._validated(points[:, :axial].reshape(-1, m), values[:, :axial].reshape(-1, m, m))
     core = core.reshape(n, axial, m, m)
@@ -348,9 +354,18 @@ def _symmetrize_curvature(c: np.ndarray) -> np.ndarray:
     return 0.5 * (c + np.moveaxis(c, (-2, -1), (-4, -3)))
 
 
-def _curvature(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lowered curvature L[n, i, j, k, l], metrics g[n] and Gamma[n] at a
-    stack of points us[n]; no domain check.
+def _connection(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Metrics g[n], second derivatives d2g[n, b, a, i, j] and the
+    Christoffel symbols of both kinds, first[n, (ij), l] and
+    gamma[n, k, i, j], at a stack of points from one _metric_jet: all
+    that _curvature and its derivative are built from."""
+    g, dg, d2g = _metric_jet(chart, us)
+    return (g, d2g) + _christoffel_from(np.linalg.inv(g), dg)
+
+
+def _curvature(us: np.ndarray, d2g: np.ndarray, first: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Lowered curvature L[n, i, j, k, l] at a stack of points us[n] from
+    their _connection; the one place that forms L.
 
     L_ijkl = g_sl (d_i Gamma^s_jk + Gamma^s_it Gamma^t_jk) is R before
     its (i, j) antisymmetrization: R = 2 _symmetrize_curvature(L), bit for
@@ -369,8 +384,6 @@ def _curvature(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, np.ndarr
     callback it uses.
     """
     n, m = us.shape
-    g, dg, d2g = _metric_jet(chart, us)
-    first, gamma = _christoffel_from(np.linalg.inv(g), dg)
     # [n, (i l), (j k)] = Gamma_{s,il} Gamma^s_jk.
     squares = (first @ gamma.reshape(n, m, m * m)).reshape((n,) + (m,) * 4)
     lowered = _first_kind(d2g)
@@ -378,25 +391,47 @@ def _curvature(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, np.ndarr
     lowered -= np.moveaxis(squares, 2, 4)
     # Every metric is validated, but differences of finite metrics can
     # still overflow.
-    finite = np.isfinite(lowered).all(axis=(1, 2, 3, 4))
+    _require_finite(us, "curvature", lowered)
+    return lowered
+
+
+def _require_finite(us: np.ndarray, what: str, *arrays: np.ndarray) -> None:
+    """DomainError naming the first point of the stack us at which one
+    of the arrays, each with a leading axis over us, is not finite."""
+    finite = np.logical_and.reduce([np.isfinite(a).reshape(len(us), -1).all(axis=1) for a in arrays])
     if not finite.all():
-        raise DomainError(f"curvature is not finite at u={us[int(finite.argmin())]}")
-    return lowered, g, gamma
+        raise DomainError(f"{what} is not finite at u={us[int(finite.argmin())]}")
+
+
+def _require_distinct(us: np.ndarray, points: np.ndarray, reach: float) -> None:
+    """DomainError when a stencil point points[n, p] of reach `reach`
+    rounds onto its centre us[n]: a difference over it would divide
+    rounding noise by the reach."""
+    same = (points == us[:, None]).all(axis=-1).any(axis=-1)
+    if same.any():
+        raise DomainError(
+            f"difference step {reach:.3g} vanishes at u={us[int(same.argmax())]}: "
+            "a stencil point rounds onto it"
+        )
 
 
 def _curvature_block(chart: MetricChart) -> int:
-    """Points per _curvature call when many points are evaluated."""
+    """Points per _connection call in the nabla R pass: at least one
+    whole derivative axis for an analytic chart."""
     m = chart.dim
-    floats = m**4 if chart.analytic else (1 + 4 * m + 8 * m * (m - 1)) * m * m
-    return max(1, _CURVATURE_FLOATS // floats)
+    if chart.analytic:
+        return max(4, _CURVATURE_FLOATS // m**4)
+    return max(1, _CURVATURE_FLOATS // ((1 + 4 * m + 8 * m * (m - 1)) * m * m))
 
 
 def riemann_at(chart: MetricChart, u: np.ndarray) -> tuple[CurvatureTensor, InnerProduct]:
     """Fully covariant Riemann tensor and the metric at a point."""
     u = chart.require_interior(u, extent=2.0 * chart.step2)
-    lowered, g, _ = _curvature(chart, u[None])
+    g, *connection = _connection(chart, u[None])
+    lowered = _curvature(u[None], *connection)[0]
+    del connection  # the m^4 d2g, before the projection's temporaries
     metric = InnerProduct(g[0])
-    return CurvatureTensor(2.0 * _symmetrize_curvature(lowered[0]), metric), metric
+    return CurvatureTensor(2.0 * _symmetrize_curvature(lowered), metric), metric
 
 
 def _riemann_with_derivative(
@@ -410,25 +445,72 @@ def _riemann_with_derivative(
     # leaves riemann_at's own margin around it: per coordinate for a Box,
     # by the triangle inequality for a Ball.
     u = chart.require_interior(u, extent=k3 + 2.0 * chart.step2)
-    points = np.concatenate([u[None], _stencil(u, k3)])
+    stencil = _stencil(u, k3)
+    _require_distinct(u[None], stencil[None], k3)
+    points = np.concatenate([u[None], stencil])
     per_block = _curvature_block(chart)
+    weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (6.0 * k3)  # _central's
     out = np.empty((m,) * 5)
-    axis = 0
-    pending: list[np.ndarray] = []
+    carry = None  # the partial differences of an axis that spans two blocks
     for lo in range(0, len(points), per_block):
-        lowered, gs, gammas = _curvature(chart, points[lo : lo + per_block])
+        us = points[lo : lo + per_block]
+        g, d2g, first, gamma = _connection(chart, us)
         if lo == 0:
-            rc = 2.0 * _symmetrize_curvature(lowered[0])
-            g, gamma = gs[0], gammas[0]
-            lowered = lowered[1:]
-        pending.extend(lowered)
-        while len(pending) >= 4:
-            d = _central(pending[:4], k3)
-            del pending[:4]
-            d -= 2.0 * (gamma[:, axis].T @ rc.reshape(m, -1)).reshape(d.shape)
-            out[axis] = 2.0 * _symmetrize_curvature(d)
-            axis += 1
-    return CurvatureTensor(rc, InnerProduct(g)), np.moveaxis(out, 0, -1), gamma
+            rc = 2.0 * _symmetrize_curvature(_curvature(us[:1], d2g[:1], first[:1], gamma[:1])[0])
+            g_c, first_c, gamma_c = g[0], first[0], gamma[0]
+            us, d2g, first, gamma = us[1:], d2g[1:], first[1:], gamma[1:]
+            if not len(us):
+                continue
+        _require_finite(us, "metric jet", d2g, first, gamma)
+        # Stencil point p of the block is offset index[p] % 4 on axis
+        # index[p] // 4; one weight row per axis the block touches.
+        index = max(lo - 1, 0) + np.arange(len(us))
+        rows = index // 4 - index[0] // 4
+        w = np.zeros((rows[-1] + 1, len(us)))
+        w[rows, np.arange(len(us))] = weights[index % 4]
+        diffs = [w @ f.reshape(len(us), -1) for f in (d2g, first, gamma)]
+        del d2g, first, gamma
+        if carry is not None:
+            for dif, part in zip(diffs, carry):
+                dif[0] += part
+        done = len(w) if index[-1] % 4 == 3 else len(w) - 1
+        if done:
+            axes = slice(index[0] // 4, index[0] // 4 + done)
+            half = _half_nabla_r(axes, rc, first_c, gamma_c, *(dif[:done] for dif in diffs))
+            np.multiply(half, 2.0, out=out[axes])
+            del half
+        carry = None if done == len(w) else [dif[done].copy() for dif in diffs]
+        # Only the carry outlives the block, so the next block's jet
+        # finds the memory of this one's free.
+        del diffs
+    return CurvatureTensor(rc, InnerProduct(g_c)), np.moveaxis(out, 0, -1), gamma_c
+
+
+def _half_nabla_r(
+    axes: slice,
+    rc: np.ndarray,
+    first: np.ndarray,
+    gamma: np.ndarray,
+    d_d2g: np.ndarray,
+    d_first: np.ndarray,
+    d_gamma: np.ndarray,
+) -> np.ndarray:
+    """nabla_n R / 2 = P(d_n L - 2 C[n]) for the derivative axes n in
+    `axes` (see covariant_derivative_riemann), from the centre's R and
+    Christoffel symbols of both kinds and the central differences along
+    those axes of d2g, first and gamma, one flat row per axis."""
+    k, m = len(d_d2g), len(rc)
+    d = _first_kind(d_d2g.reshape((k,) + (m,) * 4))
+    d *= 0.5
+    # d_n (first gamma) = [d_n first, first] [gamma; d_n gamma].
+    left = np.concatenate([d_first.reshape(k, m * m, m), np.broadcast_to(first, (k, m * m, m))], 2)
+    right = np.concatenate(
+        [np.broadcast_to(gamma.reshape(m, m * m), (k, m, m * m)), d_gamma.reshape(k, m, m * m)], 1
+    )
+    d -= np.moveaxis((left @ right).reshape(d.shape), 2, 4)
+    # C[n, i, jkl] = Gamma^s_ni R_sjkl.
+    d -= (2.0 * np.transpose(gamma[:, axes], (1, 2, 0)) @ rc.reshape(m, -1)).reshape(d.shape)
+    return _symmetrize_curvature(d)
 
 
 def covariant_derivative_riemann(chart: MetricChart, u: np.ndarray) -> np.ndarray:
@@ -439,9 +521,19 @@ def covariant_derivative_riemann(chart: MetricChart, u: np.ndarray) -> np.ndarra
     P commutes with the central difference.  R lies in P's class, so the
     four corrections sum to 4 P(C), C[i, jkl] = Gamma^s_ni R_sjkl: slot j
     follows from i by pair antisymmetry, k and l by pair interchange.
-    Each axis n is one product and one projection, 2 P(d_n L - 2 C),
-    taken once its four stencil values are in; the point and its 4m
-    stencil points are evaluated in blocks of _curvature_block points.
+    Each axis n is one product and one projection, 2 P(d_n L - 2 C).
+
+    d_n L is not a difference of L: the stencil differences the jet that
+    L is built from, and the product rule puts it together at the centre,
+
+        d_n L = (1/2) _first_kind(d_n d2g)
+                - moveaxis((d_n first) gamma + first (d_n gamma)),
+
+    with first and gamma the centre's Christoffel symbols.  A stencil
+    point needs only its _connection, and L's m^4 work runs once per
+    axis.  The point and its 4m stencil points are evaluated in blocks
+    of _curvature_block points; each difference accumulates as its
+    values arrive, and an axis is finished once its four are in.
     """
     return _riemann_with_derivative(chart, u)[1]
 

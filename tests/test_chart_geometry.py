@@ -12,6 +12,7 @@ from weylgeom.chart_geometry import (
     Box,
     DomainError,
     MetricChart,
+    _connection,
     _curvature,
     _metric_jet,
     christoffel,
@@ -251,6 +252,32 @@ class TestMetricChart:
         with pytest.raises(DomainError, match="curvature is not finite"):
             riemann_at(chart, np.zeros(3))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    def test_nabla_r_flags_non_finite_off_centre_jet(self, analytic):
+        # Bad beyond 0.6 step3 along u0: the centre's jet stays clear of
+        # it, the nabla R stencil point u + step3 e_0 does not.  An
+        # analytic d2_metric is infinite there; a finite difference metric
+        # jumps to 4e307, finite and valid, and its differences overflow.
+        def hit(u):
+            return u[0] > 0.6 * chart.step3
+
+        def metric_at(u):
+            return (4e307 if hit(u) and not analytic else 1.0) * np.eye(3)
+
+        def d2_metric(u):
+            return np.full((3,) * 4, np.inf if hit(u) else 0.0)
+
+        chart = MetricChart(dim=3, metric_at=metric_at, domain=Box(-np.ones(3), np.ones(3)))
+        if analytic:
+            chart = dataclasses.replace(
+                chart, d_metric=lambda u: np.zeros((3,) * 3), d2_metric=d2_metric
+            )
+        u = np.zeros(3)
+        assert max_abs(riemann_at(chart, u)[0]) == 0.0
+        with pytest.raises(DomainError, match="not finite"):
+            second_bianchi_residual(chart, u)
+
     @pytest.mark.parametrize("stacked", [True, False])
     def test_metric_whose_symmetrization_overflows_is_not_finite(self, stacked):
         # Every entry is finite, but g + g^T overflows on the diagonal.
@@ -401,12 +428,17 @@ class TestCallbackCounts:
         riemann_at(chart, np.full(4, 0.05))
         assert calls == {"metric_at": 1, "d_metric": 1, "d2_metric": 1}
 
-    @pytest.mark.parametrize("stacked, count", [(True, 1), (False, 17)])
-    def test_second_bianchi_evaluates_each_stencil_point_once(self, stacked, count):
-        # Four stencil points along each of the m = 4 axes, plus the centre:
-        # one block when stacked, one call per point otherwise.
-        chart, calls = counted_chart(dataclasses.replace(fubini_study_chart(2), stacked=stacked))
-        second_bianchi_residual(chart, np.full(4, 0.05))
+    @pytest.mark.parametrize(
+        "n, stacked, count", [(2, True, 1), (2, False, 17), (4, True, 3), (8, True, 17)]
+    )
+    def test_second_bianchi_evaluates_each_stencil_point_once(self, n, stacked, count):
+        # The point and four stencil points along each of the m axes, one
+        # call per point when not stacked.  Stacked, blocks of 2^16 floats
+        # of m^4 but at least one whole axis: all 17 points in one block
+        # at m = 4, 33 in blocks of 16 at m = 8, 65 in blocks of 4 at
+        # m = 16 (65 calls at m = 16 with one point a block).
+        chart, calls = counted_chart(dataclasses.replace(fubini_study_chart(n), stacked=stacked))
+        second_bianchi_residual(chart, np.full(2 * n, 0.05))
         assert calls == {"metric_at": count, "d_metric": count, "d2_metric": count}
 
     @pytest.mark.parametrize("stacked, riemann, bianchi", [(True, 1, 1), (False, 113, 1921)])
@@ -448,6 +480,31 @@ class TestCovariantDerivatives:
         nr = covariant_derivative_riemann(chart, u)
         assert cyclic_bianchi_residual(nr) <= 1e-9
         assert second_bianchi_residual(chart, u) <= 1e-9
+
+    def test_vanishing_nabla_r_step_is_domain_error(self):
+        # u0 + step3 / 2 rounds onto u0 = 0.05; the zero coordinates still
+        # move, so one collapsed axis is enough.  R itself takes no stencil.
+        chart = dataclasses.replace(fubini_study_chart(2), fd_step=1e-20)
+        u = np.array([0.05, 0.0, 0.0, 0.0])
+        riemann_at(chart, u)
+        with pytest.raises(DomainError, match=r"step 3e-20 vanishes at u=\[0\.05 0\. "):
+            second_bianchi_residual(chart, u)
+
+    def test_vanishing_metric_step_is_domain_error(self):
+        fd = dataclasses.replace(
+            fubini_study_chart(2), d_metric=None, d2_metric=None, fd_step=1e-300
+        )
+        u = np.full(4, 0.05)
+        for evaluate in (riemann_at, christoffel):
+            with pytest.raises(DomainError, match="step 2.5e-151 vanishes at u="):
+                evaluate(fd, u)
+
+    def test_small_step_keeps_honest_residual(self):
+        # A half step of about 22 ulps of u0 = 0.05: no stencil point
+        # collapses, and roundoff over the step shows in the residual.
+        chart = dataclasses.replace(fubini_study_chart(2), fd_step=1e-16)
+        residual = second_bianchi_residual(chart, np.full(4, 0.05))
+        assert 1e-3 < residual < 10.0
 
     def test_finite_difference_bianchi_tier(self):
         fd = dataclasses.replace(sphere_chart(3, 1.0), d_metric=None, d2_metric=None)
@@ -600,7 +657,7 @@ class TestCurvatureCore:
             chart = dataclasses.replace(chart, d_metric=None, d2_metric=None)
         us = default_probe_points(chart, 2)
         expect = textbook_lowered_curvature(*_metric_jet(chart, us))
-        got = _curvature(chart, us)[0]
+        got = _curvature(us, *_connection(chart, us)[1:])
         assert max_abs(expect) > 1e-2
         assert max_abs(got - expect) <= 1e-13 * max_abs(expect)
 
@@ -613,6 +670,23 @@ class TestCurvatureCore:
         chart = CHART_FAMILIES[family](m)
         residuals = [second_bianchi_residual(chart, u) for u in default_probe_points(chart)]
         assert max(residuals) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "family, m",
+        [
+            ("sphere", 4), ("sphere", 8), ("hyperbolic", 6), ("perturbed_flat", 8),
+            ("fubini_study", 4), ("fubini_study", 8),
+            ("complex_hyperbolic", 4), ("complex_hyperbolic", 8),
+        ],
+    )
+    def test_fd_bianchi_residuals_keep_their_size(self, family, m):
+        # The fd_charts families without derivative callbacks.  Max over
+        # the default probe points: 4.2e-6 (hyperbolic m = 6) differencing
+        # the curvature at each nabla R stencil point, 1.9e-6 differencing
+        # the jet; the other charts 5e-8 to 7e-7.  The tier is 1e-4.
+        chart = dataclasses.replace(CHART_FAMILIES[family](m), d_metric=None, d2_metric=None)
+        residuals = [second_bianchi_residual(chart, u) for u in default_probe_points(chart)]
+        assert max(residuals) <= 1e-5
 
     def test_riemann_at_memory_peak(self):
         # At m = 16 the jet, L and the projection hold a few m^4 arrays

@@ -244,6 +244,22 @@ class TestAnalyze:
         assert code == 3
         assert "domain error" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_collapsed_stencil_is_domain_error(self, capsys, command):
+        # u +- step3 / 2 rounds onto u = 0.05: every nabla R stencil value
+        # is the centre's, and a difference of them is rounding noise.
+        code, _, err = run(capsys, command, "--model", "fubini_study:n=2", "--fd-step", "1e-300")
+        assert code == 3
+        assert "domain error: difference step 3e-300 vanishes at u=[0.05" in err
+
+    def test_small_step_reports_its_residual(self, capsys):
+        # A half step of about 22 ulps of u still moves every stencil
+        # point: the residual is roundoff over the step, 0.08 to 0.8
+        # measured, and is reported as it is.
+        doc = run_json(capsys, "analyze", "--model", "fubini_study:n=2", "--fd-step", "1e-16")
+        residuals = [rec["bianchi_residual"] for rec in doc["records"]]
+        assert all(1e-3 < r < 10.0 for r in residuals)
+
     def test_out_file(self, tmp_path, capsys):
         dest = tmp_path / "report.json"
         code, out, _ = run(
