@@ -4,187 +4,26 @@ The package splits into a small dependency chain: exact multilinear
 algebra (tensor_core, curvature_algebra), direction spectra (spectral),
 finite geometry on coordinate patches (chart_geometry, models), the
 structural classifier (classifier), and a command line front end (cli).
-Everything below re-exports the public names so library users can work
-from the package root.
+The root re-exports each library module's __all__, the one list of its
+public names, so library users can work from the package root.
 """
 
-from .tensor_core import (
-    InnerProduct,
-    SelfAdjointEndo,
-    HermitianStructure,
-    CurvatureTensor,
-    symmetry_residual,
-    orthonormal_frame,
-    transform_tensor,
-    self_adjoint_residual,
-    skew_adjoint_residual,
-    hermitian_residuals,
-    max_abs,
-)
-from .curvature_algebra import (
-    CurvatureDecomposition,
-    r0,
-    ricci_scalar,
-    l_tensor,
-    weyl_decompose,
-    a_psi,
-    a_phi,
-    draw_act_generators,
-    sum_psi_generators,
-    random_act,
-    complex_space_form_act,
-    weyl_constants,
-)
-from .spectral import (
-    SpectralProfile,
-    OssermanReport,
-    jacobi_operator,
-    complement_basis,
-    reduced_jacobi,
-    direction_spectra,
-    spectral_profile,
-    cluster_spectrum,
-    unit_directions,
-    structured_directions,
-    trace_check,
-    osserman_test,
-    DEFAULT_SAMPLES,
-)
-from .chart_geometry import (
-    DomainError,
-    Box,
-    Ball,
-    MetricChart,
-    christoffel,
-    riemann_at,
-    covariant_derivative_riemann,
-    cyclic_bianchi_residual,
-    second_bianchi_residual,
-    conformal_rescale,
-    default_probe_points,
-    DEFAULT_FD_STEP,
-)
-from .classifier import (
-    VerdictKind,
-    Verdict,
-    PointAnalysis,
-    ToleranceConfig,
-    ClassifyConfig,
-    ChartReport,
-    Eq2aCheck,
-    DegenerateInputError,
-    ReconstructionFailedError,
-    check_eq2a,
-    recover_phi,
-    consensus_profile,
-    classify_point,
-    orthonormal_decomposition,
-    analyze_point,
-    classify_act,
-    parity_consistency,
-    classify_chart,
-)
-from .models import (
-    standard_phi,
-    flat_chart,
-    sphere_chart,
-    hyperbolic_chart,
-    fubini_study_chart,
-    complex_hyperbolic_chart,
-    perturbed_flat_chart,
-    polynomial_metric_chart,
-    ModelSpec,
-    build_model,
-    CHART_MODELS,
-    ALGEBRAIC_MODELS,
-)
+from . import chart_geometry, classifier, curvature_algebra, models, spectral, tensor_core
+from .tensor_core import *
+from .curvature_algebra import *
+from .spectral import *
+from .chart_geometry import *
+from .classifier import *
+from .models import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # tensor_core
-    "InnerProduct",
-    "SelfAdjointEndo",
-    "HermitianStructure",
-    "CurvatureTensor",
-    "symmetry_residual",
-    "orthonormal_frame",
-    "transform_tensor",
-    "self_adjoint_residual",
-    "skew_adjoint_residual",
-    "hermitian_residuals",
-    "max_abs",
-    # curvature_algebra
-    "CurvatureDecomposition",
-    "r0",
-    "ricci_scalar",
-    "l_tensor",
-    "weyl_decompose",
-    "a_psi",
-    "a_phi",
-    "draw_act_generators",
-    "sum_psi_generators",
-    "random_act",
-    "complex_space_form_act",
-    "weyl_constants",
-    # spectral
-    "SpectralProfile",
-    "OssermanReport",
-    "jacobi_operator",
-    "complement_basis",
-    "reduced_jacobi",
-    "direction_spectra",
-    "spectral_profile",
-    "cluster_spectrum",
-    "unit_directions",
-    "structured_directions",
-    "trace_check",
-    "osserman_test",
-    "DEFAULT_SAMPLES",
-    # chart_geometry
-    "DomainError",
-    "Box",
-    "Ball",
-    "MetricChart",
-    "christoffel",
-    "riemann_at",
-    "covariant_derivative_riemann",
-    "cyclic_bianchi_residual",
-    "second_bianchi_residual",
-    "conformal_rescale",
-    "default_probe_points",
-    "DEFAULT_FD_STEP",
-    # classifier
-    "VerdictKind",
-    "Verdict",
-    "PointAnalysis",
-    "ToleranceConfig",
-    "ClassifyConfig",
-    "ChartReport",
-    "Eq2aCheck",
-    "DegenerateInputError",
-    "ReconstructionFailedError",
-    "check_eq2a",
-    "recover_phi",
-    "consensus_profile",
-    "classify_point",
-    "orthonormal_decomposition",
-    "analyze_point",
-    "classify_act",
-    "parity_consistency",
-    "classify_chart",
-    # models
-    "standard_phi",
-    "flat_chart",
-    "sphere_chart",
-    "hyperbolic_chart",
-    "fubini_study_chart",
-    "complex_hyperbolic_chart",
-    "perturbed_flat_chart",
-    "polynomial_metric_chart",
-    "ModelSpec",
-    "build_model",
-    "CHART_MODELS",
-    "ALGEBRAIC_MODELS",
+    *tensor_core.__all__,
+    *curvature_algebra.__all__,
+    *spectral.__all__,
+    *chart_geometry.__all__,
+    *classifier.__all__,
+    *models.__all__,
 ]

@@ -40,6 +40,7 @@ __all__ = [
     "MetricChart",
     "christoffel",
     "riemann_at",
+    "riemann_with_derivative",
     "covariant_derivative_riemann",
     "cyclic_bianchi_residual",
     "second_bianchi_residual",
@@ -434,11 +435,12 @@ def riemann_at(chart: MetricChart, u: np.ndarray) -> tuple[CurvatureTensor, Inne
     return CurvatureTensor(2.0 * _symmetrize_curvature(lowered), metric), metric
 
 
-def _riemann_with_derivative(
+def riemann_with_derivative(
     chart: MetricChart, u: np.ndarray
 ) -> tuple[CurvatureTensor, np.ndarray, np.ndarray]:
     """riemann_at's tensor, covariant_derivative_riemann and the
-    Christoffel symbols Gamma[k, i, j] at u, from one pass."""
+    Christoffel symbols Gamma[k, i, j] at u, from one pass.  A nabla R
+    axis whose differences overflow is a DomainError."""
     k3 = chart.step3
     m = chart.dim
     # Each stencil point moves at most k3 along one axis, so this margin
@@ -449,7 +451,7 @@ def _riemann_with_derivative(
     _require_distinct(u[None], stencil[None], k3)
     points = np.concatenate([u[None], stencil])
     per_block = _curvature_block(chart)
-    weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (6.0 * k3)  # _central's
+    weights = _central(np.eye(4), k3)
     out = np.empty((m,) * 5)
     carry = None  # the partial differences of an axis that spans two blocks
     for lo in range(0, len(points), per_block):
@@ -479,6 +481,7 @@ def _riemann_with_derivative(
             half = _half_nabla_r(axes, rc, first_c, gamma_c, *(dif[:done] for dif in diffs))
             np.multiply(half, 2.0, out=out[axes])
             del half
+            _require_finite(u[None], "nabla R", out[axes][None])
         carry = None if done == len(w) else [dif[done].copy() for dif in diffs]
         # Only the carry outlives the block, so the next block's jet
         # finds the memory of this one's free.
@@ -535,7 +538,7 @@ def covariant_derivative_riemann(chart: MetricChart, u: np.ndarray) -> np.ndarra
     of _curvature_block points; each difference accumulates as its
     values arrive, and an axis is finished once its four are in.
     """
-    return _riemann_with_derivative(chart, u)[1]
+    return riemann_with_derivative(chart, u)[1]
 
 
 def cyclic_bianchi_residual(nabla_r: np.ndarray) -> float:

@@ -63,7 +63,6 @@ __all__ = [
     "Verdict",
     "PointAnalysis",
     "ToleranceConfig",
-    "ClassifyConfig",
     "ChartReport",
     "Eq2aCheck",
     "DegenerateInputError",
@@ -471,13 +470,6 @@ def classify_act(
 
 
 @dataclass(frozen=True)
-class ClassifyConfig:
-    samples: int = DEFAULT_SAMPLES
-    seed: int = 0
-    tol: ToleranceConfig = field(default_factory=ToleranceConfig.chart)
-
-
-@dataclass(frozen=True)
 class ChartReport:
     points: np.ndarray
     verdicts: tuple[Verdict, ...]
@@ -501,14 +493,16 @@ def _phi_pair_consistency(verdicts: tuple[Verdict, ...]) -> float | None:
 def classify_chart(
     chart: MetricChart,
     points: np.ndarray,
-    config: ClassifyConfig | None = None,
+    tol: ToleranceConfig | None = None,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = 0,
 ) -> ChartReport:
-    """Classify the Weyl structure of a chart at each given point."""
-    config = config or ClassifyConfig()
+    """Classify the Weyl structure of a chart at each given point, with
+    analyze_point's options; tol defaults to the chart tier."""
+    tol = tol or ToleranceConfig.chart()
     points = np.atleast_2d(np.asarray(points, dtype=float))
     verdicts = tuple(
-        analyze_point(riemann_at(chart, u)[0], config.tol, config.samples, config.seed).verdict
-        for u in points
+        analyze_point(riemann_at(chart, u)[0], tol, samples, seed).verdict for u in points
     )
     counts = Counter(v.kind.value for v in verdicts)
     signs = Counter(

@@ -44,11 +44,11 @@ from .spectral import DEFAULT_SAMPLES, trace_check
 from .chart_geometry import (
     DomainError,
     MetricChart,
-    _riemann_with_derivative,
     conformal_rescale,
     cyclic_bianchi_residual,
     default_probe_points,
     riemann_at,
+    riemann_with_derivative,
 )
 from .classifier import (
     PointAnalysis,
@@ -529,7 +529,7 @@ def cmd_analyze(config: AnalysisConfig) -> tuple[dict, int]:
     )
 
     def at_point(u: np.ndarray) -> dict:
-        r, nabla_r, _ = _riemann_with_derivative(target, u)
+        r, nabla_r, _ = riemann_with_derivative(target, u)
         return _analysis_record(analyze(r), r.metric.g, cyclic_bianchi_residual(nabla_r))
 
     points, records = _records(
@@ -592,7 +592,7 @@ def _verify_chart_point(
     checks = []
     bianchi_tier = tiers.VERIFY_BIANCHI_ANALYTIC if chart.analytic else tiers.VERIFY_BIANCHI_FD
 
-    r, nabla_r, gamma = _riemann_with_derivative(chart, u)
+    r, nabla_r, gamma = riemann_with_derivative(chart, u)
     checks.append(_check("second_bianchi", cyclic_bianchi_residual(nabla_r), bianchi_tier))
 
     dec = orthonormal_decomposition(r)

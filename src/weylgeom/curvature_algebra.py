@@ -36,7 +36,6 @@ from .tensor_core import (
     CurvatureTensor,
     HermitianStructure,
     InnerProduct,
-    SelfAdjointEndo,
     max_abs,
     self_adjoint_residual,
     skew_adjoint_residual,
@@ -179,9 +178,10 @@ def weyl_decompose(a: CurvatureTensor, strict: bool = True) -> CurvatureDecompos
     return CurvatureDecomposition(r=a, ricci=rho, tau=tau, l=ell, w=w, c1=c1, c2=c2)
 
 
-def a_psi(psi: SelfAdjointEndo | np.ndarray, g: InnerProduct) -> CurvatureTensor:
-    """Curvature generator of a self-adjoint endomorphism."""
-    mat = psi.matrix if isinstance(psi, SelfAdjointEndo) else np.asarray(psi, dtype=float)
+def a_psi(psi: np.ndarray, g: InnerProduct) -> CurvatureTensor:
+    """Curvature generator of a g-self-adjoint endomorphism, given as its
+    matrix."""
+    mat = np.asarray(psi, dtype=float)
     res = self_adjoint_residual(mat, g)
     if res > tiers.GENERATOR_ADJOINT * max(1.0, max_abs(mat)):
         raise ValueError(f"endomorphism is not g-self-adjoint (residual {res:.3e})")

@@ -31,6 +31,7 @@ pins holomorphic sectional curvature 4.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -373,11 +374,22 @@ ALGEBRAIC_MODELS = {
 
 
 def build_model(spec: ModelSpec):
-    """Instantiate a model spec; returns a MetricChart or a CurvatureTensor."""
+    """Instantiate a model spec; returns a MetricChart or a CurvatureTensor.
+    Unknown and missing parameters are a ValueError naming them."""
     kind = spec.kind
     table = CHART_MODELS if kind == "chart" else ALGEBRAIC_MODELS
     builder, allowed = table[spec.name]
     unknown = set(spec.params) - allowed
     if unknown:
         raise ValueError(f"model {spec.name!r} got unknown parameters {sorted(unknown)}")
+    signature = inspect.signature(builder)
+    try:
+        signature.bind(**spec.params)
+    except TypeError:
+        missing = [
+            name
+            for name, p in signature.parameters.items()
+            if p.default is p.empty and name not in spec.params
+        ]
+        raise ValueError(f"model {spec.name!r} is missing parameters {missing}") from None
     return builder(**spec.params)

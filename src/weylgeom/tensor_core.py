@@ -24,7 +24,6 @@ from . import tiers
 
 __all__ = [
     "InnerProduct",
-    "SelfAdjointEndo",
     "HermitianStructure",
     "CurvatureTensor",
     "symmetry_residual",
@@ -98,28 +97,6 @@ class InnerProduct:
 
     def is_euclidean(self, tol: float = tiers.EUCLIDEAN_FRAME) -> bool:
         return max_abs(self.g - np.eye(self.dim)) <= tol
-
-
-@dataclass(frozen=True)
-class SelfAdjointEndo:
-    """Endomorphism required to be self-adjoint with respect to a metric.
-
-    The defining residual ``g Psi - Psi^T g`` is checked by
-    :func:`self_adjoint_residual` at use sites, since self-adjointness
-    is relative to the metric in play.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"endomorphism must be square, got shape {mat.shape}")
-        object.__setattr__(self, "matrix", _as_readonly(mat))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)

@@ -278,6 +278,26 @@ class TestMetricChart:
         with pytest.raises(DomainError, match="not finite"):
             second_bianchi_residual(chart, u)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nabla_r_flags_overflowing_differences(self):
+        # A finite jet everywhere: d2_metric is 1e306 off the centre, and
+        # its weighted differences, not the jet, overflow.
+        u = np.full(3, 0.05)
+
+        def d2_metric(p):
+            return np.full((3,) * 4, 0.0 if np.array_equal(p, u) else 1e306)
+
+        chart = MetricChart(
+            dim=3,
+            metric_at=lambda p: np.eye(3),
+            domain=Box(-np.ones(3), np.ones(3)),
+            d_metric=lambda p: np.zeros((3,) * 3),
+            d2_metric=d2_metric,
+        )
+        assert max_abs(riemann_at(chart, u)[0]) == 0.0
+        with pytest.raises(DomainError, match=r"nabla R is not finite at u=\[0\.05 0\.05 0\.05\]"):
+            second_bianchi_residual(chart, u)
+
     @pytest.mark.parametrize("stacked", [True, False])
     def test_metric_whose_symmetrization_overflows_is_not_finite(self, stacked):
         # Every entry is finite, but g + g^T overflows on the diagonal.

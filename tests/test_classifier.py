@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose
 
 from weylgeom.classifier import (
     ChartReport,
-    ClassifyConfig,
     DegenerateInputError,
     ReconstructionFailedError,
     ToleranceConfig,
@@ -26,7 +25,7 @@ from weylgeom.classifier import (
     parity_consistency,
     recover_phi,
 )
-from weylgeom.chart_geometry import default_probe_points
+from weylgeom.chart_geometry import default_probe_points, riemann_at
 from weylgeom.curvature_algebra import (
     a_phi,
     complex_space_form_act,
@@ -342,7 +341,21 @@ class TestClassifyChart:
         assert rep.summary["kinds"] == {"NotConformallyOsserman": 2}
 
     def test_custom_config_threads_through(self):
-        chart = flat_chart(3)
-        config = ClassifyConfig(samples=8, seed=3, tol=ToleranceConfig.chart())
-        rep = classify_chart(chart, default_probe_points(chart, count=2), config)
-        assert rep.summary["warning_count"] == 0
+        tol = ToleranceConfig.chart()
+        for chart in (flat_chart(3), perturbed_flat_chart(6, 0.1, 42)):
+            pts = default_probe_points(chart, count=2)
+            rep = classify_chart(chart, pts, tol=tol, samples=8, seed=3)
+            for u, v in zip(pts, rep.verdicts):
+                expected = analyze_point(riemann_at(chart, u)[0], tol, 8, 3).verdict
+                assert v.kind == expected.kind
+                assert v.diagnostics == expected.diagnostics
+        # perturbed_flat: the default sample of directions finds another
+        # spectrum drift than 8 directions at seed 3.
+        default = classify_chart(chart, pts)
+        for v, d in zip(rep.verdicts, default.verdicts):
+            assert v.diagnostics["osserman_distance"] != d.diagnostics["osserman_distance"]
+        # A negative spec_tol accepts no spectrum as constant.
+        fs = fubini_study_chart(2)
+        strict = replace(ToleranceConfig.chart(), spec_tol=-1.0)
+        rep = classify_chart(fs, default_probe_points(fs, count=1), tol=strict)
+        assert rep.summary["kinds"] == {"NotConformallyOsserman": 1}

@@ -403,14 +403,14 @@ class TestVerify:
         argv = ("verify", "--model", "sphere:m=3,r=1.0", "--format", "json")
         _, clean, _ = run(capsys, *argv)
         calls = []
-        inner = chart_geometry._riemann_with_derivative
+        inner = chart_geometry.riemann_with_derivative
 
         def counted(chart, u):
             calls.append(u)
             return inner(chart, u)
 
-        monkeypatch.setattr(cli, "_riemann_with_derivative", counted)
-        monkeypatch.setattr(chart_geometry, "_riemann_with_derivative", counted)
+        monkeypatch.setattr(cli, "riemann_with_derivative", counted)
+        monkeypatch.setattr(chart_geometry, "riemann_with_derivative", counted)
         code, out, _ = run(capsys, *argv, "--debug-corrupt")
         assert code == 1
         doc = json.loads(out)
@@ -561,6 +561,16 @@ class TestFailureMapping:
         code, _, err = run(capsys, command, "--model", "sphere:m=3,r=1e200")
         assert code == 2
         assert "bad model" in err
+
+    @pytest.mark.parametrize(
+        "model, missing",
+        [("perturbed_flat:m=6", "['eps', 'seed']"), ("random:m=8", "['seed']"), ("flat", "['m']")],
+    )
+    def test_missing_model_param_is_named(self, capsys, model, missing):
+        code, _, err = run(capsys, "analyze", "--model", model)
+        assert code == 2
+        name = model.split(":")[0]
+        assert f"bad model: model {name!r} is missing parameters {missing}" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_metric_is_domain_error(self, tmp_path, capsys):

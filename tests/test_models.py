@@ -442,5 +442,5 @@ class TestRegistry:
             build_model(ModelSpec("sphere", {"m": 3, "bogus": 1}))
 
     def test_missing_parameter_surfaces(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=r"model 'sphere' is missing parameters \['m'\]"):
             build_model(ModelSpec("sphere"))

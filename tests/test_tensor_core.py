@@ -8,7 +8,6 @@ from weylgeom.tensor_core import (
     CurvatureTensor,
     HermitianStructure,
     InnerProduct,
-    SelfAdjointEndo,
     max_abs,
     orthonormal_frame,
     symmetry_residual,
@@ -209,14 +208,3 @@ class TestHermitianStructure:
         b = orthonormal_frame(g)
         phi = HermitianStructure(b @ standard_phi(4).matrix @ np.linalg.inv(b))
         phi.validate(g, tol=1e-8)
-
-
-class TestSelfAdjointEndo:
-    def test_holds_matrix(self):
-        psi = SelfAdjointEndo(np.diag([1.0, 2.0]))
-        assert psi.dim == 2
-        assert_allclose(psi.matrix, np.diag([1.0, 2.0]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            SelfAdjointEndo(np.ones((2, 3)))
