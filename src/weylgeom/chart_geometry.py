@@ -223,16 +223,15 @@ def _positive_definite(g: np.ndarray) -> bool:
     return True
 
 
-# One block of the nabla R pass holds at most this many floats of
-# per-point temporaries: the jet's m^4 d2g for an analytic chart, but at
-# least one whole axis of 4 points; otherwise the metric values at the
-# point's _jet_stencil, about 8 m^4.  Stacking pays while the temporaries
-# stay in cache.  When each stencil point formed the curvature (its m^4
-# work now runs once per axis), one analytic pass at m = 16 (2 vCPUs,
-# one BLAS thread, best of 5 or 6, five rounds on a noisy host) took
-# 59-102 ms in blocks of 1 to 8 points, with no size ahead of the noise,
-# and 79-108 ms in blocks of 16 or 32.  At m = 8 blocks of 16 points
-# (3.7-5.6 ms) timed alike with blocks of 32 or more.
+# One block of the nabla R pass holds whole derivative axes, four
+# stencil points each, and at most this many floats of per-point
+# temporaries, but at least one axis: the jet's m^4 d2g for an analytic
+# chart, the metric values at the point's _jet_stencil otherwise.
+# Stacking pays while the temporaries stay in cache.  One analytic pass
+# (fubini_study, 2 vCPUs, one BLAS thread, best of 7 in three rounds on a
+# noisy host) in blocks of 1, 2, 4 or 8 axes took 3.3-3.6, 2.3-2.6,
+# 1.8-2.3 and 2.1-2.4 ms at m = 8, where the budget gives 4 axes, and
+# 34-36, 34-36, 36-39 and 45-46 ms at m = 16, where it gives 1.
 _CURVATURE_FLOATS = 2**16
 
 
@@ -416,15 +415,6 @@ def _require_distinct(us: np.ndarray, points: np.ndarray, reach: float) -> None:
         )
 
 
-def _curvature_block(chart: MetricChart) -> int:
-    """Points per _connection call in the nabla R pass: at least one
-    whole derivative axis for an analytic chart."""
-    m = chart.dim
-    if chart.analytic:
-        return max(4, _CURVATURE_FLOATS // m**4)
-    return max(1, _CURVATURE_FLOATS // ((1 + 4 * m + 8 * m * (m - 1)) * m * m))
-
-
 def riemann_at(chart: MetricChart, u: np.ndarray) -> tuple[CurvatureTensor, InnerProduct]:
     """Fully covariant Riemann tensor and the metric at a point."""
     u = chart.require_interior(u, extent=2.0 * chart.step2)
@@ -449,43 +439,30 @@ def riemann_with_derivative(
     u = chart.require_interior(u, extent=k3 + 2.0 * chart.step2)
     stencil = _stencil(u, k3)
     _require_distinct(u[None], stencil[None], k3)
-    points = np.concatenate([u[None], stencil])
-    per_block = _curvature_block(chart)
+    per_point = m**4 if chart.analytic else (1 + 4 * m + 8 * m * (m - 1)) * m * m
+    per_block = max(1, _CURVATURE_FLOATS // (4 * per_point))
     weights = _central(np.eye(4), k3)
     out = np.empty((m,) * 5)
-    carry = None  # the partial differences of an axis that spans two blocks
-    for lo in range(0, len(points), per_block):
-        us = points[lo : lo + per_block]
+    for lo in range(0, m, per_block):
+        axes = slice(lo, lo + per_block)
+        us = stencil[4 * lo : 4 * axes.stop]
+        if lo == 0:
+            us = np.concatenate([u[None], us])
         g, d2g, first, gamma = _connection(chart, us)
         if lo == 0:
             rc = 2.0 * _symmetrize_curvature(_curvature(us[:1], d2g[:1], first[:1], gamma[:1])[0])
             g_c, first_c, gamma_c = g[0], first[0], gamma[0]
             us, d2g, first, gamma = us[1:], d2g[1:], first[1:], gamma[1:]
-            if not len(us):
-                continue
         _require_finite(us, "metric jet", d2g, first, gamma)
-        # Stencil point p of the block is offset index[p] % 4 on axis
-        # index[p] // 4; one weight row per axis the block touches.
-        index = max(lo - 1, 0) + np.arange(len(us))
-        rows = index // 4 - index[0] // 4
-        w = np.zeros((rows[-1] + 1, len(us)))
-        w[rows, np.arange(len(us))] = weights[index % 4]
-        diffs = [w @ f.reshape(len(us), -1) for f in (d2g, first, gamma)]
+        # The four stencil values of each axis, one weighted sum each.
+        k = len(us) // 4
+        diffs = [weights @ f.reshape(k, 4, -1) for f in (d2g, first, gamma)]
         del d2g, first, gamma
-        if carry is not None:
-            for dif, part in zip(diffs, carry):
-                dif[0] += part
-        done = len(w) if index[-1] % 4 == 3 else len(w) - 1
-        if done:
-            axes = slice(index[0] // 4, index[0] // 4 + done)
-            half = _half_nabla_r(axes, rc, first_c, gamma_c, *(dif[:done] for dif in diffs))
-            np.multiply(half, 2.0, out=out[axes])
-            del half
-            _require_finite(u[None], "nabla R", out[axes][None])
-        carry = None if done == len(w) else [dif[done].copy() for dif in diffs]
-        # Only the carry outlives the block, so the next block's jet
-        # finds the memory of this one's free.
+        half = _half_nabla_r(axes, rc, first_c, gamma_c, *diffs)
         del diffs
+        np.multiply(half, 2.0, out=out[axes])
+        del half
+        _require_finite(u[None], "nabla R", out[axes][None])
     return CurvatureTensor(rc, InnerProduct(g_c)), np.moveaxis(out, 0, -1), gamma_c
 
 
@@ -534,9 +511,10 @@ def covariant_derivative_riemann(chart: MetricChart, u: np.ndarray) -> np.ndarra
 
     with first and gamma the centre's Christoffel symbols.  A stencil
     point needs only its _connection, and L's m^4 work runs once per
-    axis.  The point and its 4m stencil points are evaluated in blocks
-    of _curvature_block points; each difference accumulates as its
-    values arrive, and an axis is finished once its four are in.
+    axis.  The 4m stencil points are evaluated in blocks of whole axes
+    within the _CURVATURE_FLOATS budget, the point itself riding with
+    the first; each axis is differenced in one weighted sum of its four
+    values (B. Fornberg, Math. Comp. 51, 1988).
     """
     return riemann_with_derivative(chart, u)[1]
 

@@ -40,7 +40,7 @@ import numpy as np
 from . import tiers
 from .tensor_core import CurvatureTensor, max_abs
 from .curvature_algebra import symmetry_residual, weyl_decompose
-from .spectral import DEFAULT_SAMPLES, trace_check
+from .spectral import DEFAULT_SAMPLES, osserman_test, trace_check
 from .chart_geometry import (
     DomainError,
     MetricChart,
@@ -674,12 +674,10 @@ def cmd_verify(config: AnalysisConfig, debug_corrupt: bool = False) -> tuple[dic
 
 def cmd_spectrum(config: AnalysisConfig) -> tuple[dict, int]:
     kind, target, name = resolve_model(config)
-    analyze = partial(
-        analyze_point, tol=tolerance_config(config, kind), samples=config.samples, seed=config.seed
-    )
 
     def spectra(r: CurvatureTensor) -> dict:
-        return {"spectra": analyze(r).osserman.spectra.tolist()}
+        w = orthonormal_decomposition(r).w
+        return {"spectra": osserman_test(w, config.samples, config.seed).spectra.tolist()}
 
     points, records = _records(
         config, kind, target, name, spectra, lambda u: spectra(riemann_at(target, u)[0])
@@ -816,7 +814,10 @@ def main(argv=None) -> int:
             report, code = cmd_spectrum(config)
         text = render_json(report) + "\n" if config.format == "json" else render_text(report)
         if config.out:
-            Path(config.out).write_text(text)
+            try:
+                Path(config.out).write_text(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write report to {config.out!r}: {exc}") from exc
         else:
             sys.stdout.write(text)
         return code

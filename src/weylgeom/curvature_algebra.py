@@ -115,7 +115,7 @@ def r0(g: InnerProduct) -> CurvatureTensor:
     return CurvatureTensor(comps, g)
 
 
-def ricci_scalar(a: CurvatureTensor, strict: bool = True) -> tuple[np.ndarray, float]:
+def ricci_scalar(a: CurvatureTensor) -> tuple[np.ndarray, float]:
     """Ricci form and scalar curvature of a curvature tensor.
 
     The contraction rho_ij = g^kl A_iklj and tau = g^ij rho_ij run in the
@@ -123,17 +123,12 @@ def ricci_scalar(a: CurvatureTensor, strict: bool = True) -> tuple[np.ndarray, f
     rho_ij = sum_k A_ikkj and tau = sum_i rho_ii.  The returned form is
     symmetrized, and tau is taken from the symmetrized form.
 
-    With ``strict`` the input must pass the curvature symmetry check to
-    a loose tolerance; pass ``strict=False`` to measure diagnostics on
-    deliberately broken tensors.
+    The input must pass the curvature symmetry check to a loose
+    tolerance, RICCI_CONTRACTION_SYMMETRY; a ValueError says otherwise.
     """
-    if strict:
-        res = symmetry_residual(a)
-        if res > tiers.RICCI_CONTRACTION_SYMMETRY * max(1.0, a.max_abs()):
-            raise ValueError(
-                f"symmetry residual {res:.3e} too large for Ricci contraction; "
-                "pass strict=False to override"
-            )
+    res = symmetry_residual(a)
+    if res > tiers.RICCI_CONTRACTION_SYMMETRY * max(1.0, a.max_abs()):
+        raise ValueError(f"symmetry residual {res:.3e} too large for Ricci contraction")
     if a.metric.is_euclidean():
         rho = np.einsum("ikkj->ij", a.components)
         rho = 0.5 * (rho + rho.T)
@@ -162,16 +157,17 @@ def l_tensor(rho: np.ndarray, g: InnerProduct) -> CurvatureTensor:
     return CurvatureTensor(comps, g)
 
 
-def weyl_decompose(a: CurvatureTensor, strict: bool = True) -> CurvatureDecomposition:
+def weyl_decompose(a: CurvatureTensor) -> CurvatureDecomposition:
     """Split a curvature tensor into conformal, scalar and Ricci parts.
 
     Requires m >= 3 for the constants; conformal classification is
-    meaningful from m = 4 up.  The reconstruction identity
-    R = W + c1 tau R0 + c2 L holds to roundoff by construction.
+    meaningful from m = 4 up.  The input must pass ricci_scalar's symmetry
+    check.  The reconstruction identity R = W + c1 tau R0 + c2 L holds
+    to roundoff by construction.
     """
     m = a.dim
     c1, c2 = weyl_constants(m)
-    rho, tau = ricci_scalar(a, strict=strict)
+    rho, tau = ricci_scalar(a)
     ell = l_tensor(rho, a.metric)
     w_comps = a.components - c1 * tau * r0(a.metric).components - c2 * ell.components
     w = CurvatureTensor(w_comps, a.metric)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from weylgeom import chart_geometry
 from weylgeom.chart_geometry import (
     Ball,
     Box,
@@ -21,6 +22,7 @@ from weylgeom.chart_geometry import (
     cyclic_bianchi_residual,
     default_probe_points,
     riemann_at,
+    riemann_with_derivative,
     second_bianchi_residual,
 )
 from weylgeom.curvature_algebra import complex_space_form_act, r0
@@ -449,34 +451,70 @@ class TestCallbackCounts:
         assert calls == {"metric_at": 1, "d_metric": 1, "d2_metric": 1}
 
     @pytest.mark.parametrize(
-        "n, stacked, count", [(2, True, 1), (2, False, 17), (4, True, 3), (8, True, 17)]
+        "n, stacked, count",
+        [(2, True, 1), (2, False, 17), (4, True, 2), (8, True, 16), (12, True, 24)],
     )
     def test_second_bianchi_evaluates_each_stencil_point_once(self, n, stacked, count):
         # The point and four stencil points along each of the m axes, one
-        # call per point when not stacked.  Stacked, blocks of 2^16 floats
-        # of m^4 but at least one whole axis: all 17 points in one block
-        # at m = 4, 33 in blocks of 16 at m = 8, 65 in blocks of 4 at
-        # m = 16 (65 calls at m = 16 with one point a block).
+        # call per point when not stacked.  Stacked, blocks of whole axes
+        # within 2^16 floats of m^4 a point, the point riding with the
+        # first: all 4 axes in one block at m = 4, blocks of 4 axes at
+        # m = 8, one axis a block at m = 16 and m = 24.
         chart, calls = counted_chart(dataclasses.replace(fubini_study_chart(n), stacked=stacked))
         second_bianchi_residual(chart, np.full(2 * n, 0.05))
         assert calls == {"metric_at": count, "d_metric": count, "d2_metric": count}
 
-    @pytest.mark.parametrize("stacked, riemann, bianchi", [(True, 1, 1), (False, 113, 1921)])
-    def test_finite_difference_metric_calls(self, stacked, riemann, bianchi):
+    @pytest.mark.parametrize(
+        "n, stacked, riemann, bianchi", [(2, True, 1, 1), (2, False, 113, 1921), (4, True, 1, 8)]
+    )
+    def test_finite_difference_metric_calls(self, n, stacked, riemann, bianchi):
         # 1 + 4m + 8m(m - 1) = 113 metric stencil points per curvature
         # evaluation at m = 4: one call when stacked, one call each
         # otherwise.  The second Bianchi residual evaluates curvature at
-        # 4m + 1 = 17 points, which share one block and so one call.
+        # 4m + 1 = 17 points, which share one block and so one call.  At
+        # m = 8 the 481 stencil points put one axis in each block, 8
+        # calls, the point riding with the first.
         fd = dataclasses.replace(
-            fubini_study_chart(2), d_metric=None, d2_metric=None, stacked=stacked
+            fubini_study_chart(n), d_metric=None, d2_metric=None, stacked=stacked
         )
-        u = np.full(4, 0.05)
+        u = np.full(2 * n, 0.05)
         chart, calls = counted_chart(fd)
         riemann_at(chart, u)
         assert calls["metric_at"] == riemann
         chart, calls = counted_chart(fd)
         second_bianchi_residual(chart, u)
         assert calls["metric_at"] == bianchi
+
+
+class TestCurvatureBlocks:
+    @pytest.mark.parametrize(
+        "chart",
+        [
+            fubini_study_chart(4),
+            dataclasses.replace(hyperbolic_chart(6), d_metric=None, d2_metric=None),
+        ],
+        ids=["analytic-m8", "fd-m6"],
+    )
+    def test_block_layout_leaves_nabla_r(self, chart, monkeypatch):
+        m = chart.dim
+        u = np.full(m, 0.05)
+        per_point = m**4 if chart.analytic else (1 + 4 * m + 8 * m * (m - 1)) * m * m
+        runs = []
+        # One axis a block, blocks of 3 axes (the last one short), and
+        # all axes in one block.
+        for axes in (1, 3, m):
+            monkeypatch.setattr(chart_geometry, "_CURVATURE_FLOATS", axes * 4 * per_point)
+            counted, calls = counted_chart(chart)
+            runs.append(riemann_with_derivative(counted, u))
+            assert calls["metric_at"] == -(-m // axes)
+        r, nabla, gam = runs[0]
+        # The bound of the stacked point-loop comparison in test_models.
+        bound = 1e-15 * max(max_abs(nabla), 3.0 / chart.step3 * max_abs(r.components))
+        for r2, nabla2, gam2 in runs[1:]:
+            assert np.array_equal(r.components, r2.components)
+            assert np.array_equal(r.metric.g, r2.metric.g)
+            assert np.array_equal(gam, gam2)
+            assert max_abs(nabla - nabla2) <= bound
 
 
 class TestCovariantDerivatives:

@@ -487,6 +487,16 @@ class TestFailureMapping:
         assert code == 4
         assert "synthetic failure" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, command):
+        # Exit 1 would read as a failed verify check.
+        dest = tmp_path / "missing_dir" / "x.json"
+        code, out, err = run(capsys, command, "--model", "sphere:m=3", "--out", str(dest))
+        assert code == 2
+        assert out == ""
+        assert f"cannot write report to {str(dest)!r}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_metric_coefficient_is_config_error(self, tmp_path, capsys, value):
         cfg = tmp_path / "c.json"
