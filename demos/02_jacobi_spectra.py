@@ -23,7 +23,7 @@ from weylgeom import (
 # For the sphere generator every reduced Jacobi operator is the identity
 # on the direction's orthogonal complement.
 g = InnerProduct.euclidean(5)
-x = unit_directions(5, 1, seed=0, include_structured=False)[0]
+x = unit_directions(5, 1, seed=0)[-1]
 eig = np.linalg.eigvalsh(reduced_jacobi(r0(g), x))
 print("sphere generator, random direction")
 print("  reduced spectrum:", np.round(eig, 12))
@@ -31,7 +31,7 @@ print("  reduced spectrum:", np.round(eig, 12))
 # The Weyl part of a complex space form has a two-eigenvalue spectrum
 # with multiplicities (m-2, 1); the profile clusters it automatically.
 w = weyl_decompose(complex_space_form_act(1.0, 1.0, standard_phi(8))).w
-x8 = unit_directions(8, 1, seed=1, include_structured=False)[0]
+x8 = unit_directions(8, 1, seed=1)[-1]
 profile = spectral_profile(reduced_jacobi(w, x8))
 print("\ncomplex space form Weyl part, m=8")
 for value, mult in profile.clusters:

@@ -8,7 +8,7 @@ analyze
 verify
     Identity checks for the configured model: differential Bianchi
     residual, conformal invariance of the mixed-index conformal tensor,
-    trace-free Jacobi, and the parallel-structure checks on the complex
+    trace-free Jacobi, and the parallel-structure check on the complex
     models.  Exit status 1 when any residual exceeds its tier.
 spectrum
     Per-direction eigenvalue table of the reduced conformal Jacobi
@@ -333,6 +333,12 @@ def resolve_model(config: AnalysisConfig):
         spec, bad = config.model, "bad model"
     else:
         raise ConfigError("config needs a model or an external metric")
+    # An integer m, or n for the complex models, declares the dimension,
+    # which is checked before the build allocates for it.
+    for key, per_unit in (("m", 1), ("n", 2)):
+        value = spec.params.get(key)
+        if isinstance(value, int):
+            _require_dimension(per_unit * value, spec.name)
     try:
         kind = spec.kind
         built = build_model(spec)
@@ -349,9 +355,11 @@ def resolve_model(config: AnalysisConfig):
 
 def _require_dimension(dim: int, name: str) -> None:
     # The conformal decomposition that every subcommand reads is undefined
-    # below dimension 3.
-    if dim < 3:
-        raise ConfigError(f"model {name!r} has dimension {dim}; at least 3 is needed")
+    # below dimension 3; tiers.MAX_DIMENSION bounds the memory above.
+    if not 3 <= dim <= tiers.MAX_DIMENSION:
+        raise ConfigError(
+            f"model {name!r} has dimension {dim}; 3 to {tiers.MAX_DIMENSION} are supported"
+        )
 
 
 def _apply_fd_step(chart: MetricChart, config: AnalysisConfig) -> MetricChart:
@@ -580,48 +588,7 @@ def _check(name: str, residual: float, tolerance: float) -> dict:
     }
 
 
-def _verify_chart_point(
-    chart: MetricChart,
-    scaled: MetricChart,
-    phi_mat: np.ndarray | None,
-    samples: int,
-    seed: int,
-    debug_corrupt: bool,
-    u: np.ndarray,
-) -> dict:
-    checks = []
-    bianchi_tier = tiers.VERIFY_BIANCHI_ANALYTIC if chart.analytic else tiers.VERIFY_BIANCHI_FD
-
-    r, nabla_r, gamma = riemann_with_derivative(chart, u)
-    checks.append(_check("second_bianchi", cyclic_bianchi_residual(nabla_r), bianchi_tier))
-
-    dec = orthonormal_decomposition(r)
-    trace_tier = tiers.VERIFY_TRACE_CHART * max(1.0, dec.r.max_abs())
-    checks.append(_check("trace_free_jacobi", trace_check(dec.w, samples, seed), trace_tier))
-
-    invariance = max_abs(_weyl13(r) - _weyl13(riemann_at(scaled, u)[0]))
-    checks.append(_check("conformal_invariance", invariance, tiers.VERIFY_CONFORMAL))
-
-    if phi_mat is not None:
-        # Phi is constant in these coordinates, so nabla_a Phi = [Gamma_a, Phi]
-        # with the connection matrix (Gamma_a)^i_j = Gamma^i_aj.
-        ga = np.moveaxis(gamma, 1, 0)
-        nabla = ga @ phi_mat - phi_mat @ ga
-        checks.append(_check("parallel_structure", max_abs(nabla), tiers.VERIFY_KAHLER))
-        anti = max(
-            max_abs(nabla[n] @ phi_mat + phi_mat @ nabla[n]) for n in range(len(nabla))
-        )
-        checks.append(_check("structure_anticommutator", anti, tiers.VERIFY_KAHLER))
-
-    if debug_corrupt:
-        nabla_r[0, 0, 0, 0, 1] += 0.1
-        corrupted = cyclic_bianchi_residual(nabla_r)
-        checks.append(_check("second_bianchi_corrupted", corrupted, bianchi_tier))
-
-    return {"checks": checks}
-
-
-def _verify_act(act: CurvatureTensor, samples: int, seed: int, debug_corrupt: bool) -> dict:
+def _verify_act(act: CurvatureTensor, samples: int, seed: int) -> dict:
     symmetry_tier = tiers.VERIFY_SYMMETRY * max(1.0, act.max_abs())
     checks = [_check("curvature_symmetries", symmetry_residual(act), symmetry_tier)]
     dec = orthonormal_decomposition(act)
@@ -634,26 +601,40 @@ def _verify_act(act: CurvatureTensor, samples: int, seed: int, debug_corrupt: bo
     )
     trace_tier = tiers.VERIFY_TRACE_ALGEBRAIC * max(1.0, dec.r.max_abs())
     checks.append(_check("trace_free_jacobi", trace_check(dec.w, samples, seed), trace_tier))
-    if debug_corrupt:
-        broken = act.components.copy()
-        broken[0, 0, 0, 1] += 0.1
-        residual = symmetry_residual(CurvatureTensor(broken, act.metric))
-        checks.append(_check("curvature_symmetries_corrupted", residual, symmetry_tier))
     return {"checks": checks}
 
 
-def cmd_verify(config: AnalysisConfig, debug_corrupt: bool = False) -> tuple[dict, int]:
+def cmd_verify(config: AnalysisConfig) -> tuple[dict, int]:
     kind, target, name = resolve_model(config)
     phi_mat = None
     if config.model is not None and config.model.name in _COMPLEX_MODELS:
         phi_mat = standard_phi(target.dim).matrix
     scaled = conformal_rescale(target, _alpha, _d_alpha, _d2_alpha) if kind == "chart" else None
+
+    def at_point(u: np.ndarray) -> dict:
+        r, nabla_r, gamma = riemann_with_derivative(target, u)
+        tier = tiers.VERIFY_BIANCHI_ANALYTIC if target.analytic else tiers.VERIFY_BIANCHI_FD
+        checks = [_check("second_bianchi", cyclic_bianchi_residual(nabla_r), tier)]
+
+        dec = orthonormal_decomposition(r)
+        trace_tier = tiers.VERIFY_TRACE_CHART * max(1.0, dec.r.max_abs())
+        trace = trace_check(dec.w, config.samples, config.seed)
+        checks.append(_check("trace_free_jacobi", trace, trace_tier))
+
+        invariance = max_abs(_weyl13(r) - _weyl13(riemann_at(scaled, u)[0]))
+        checks.append(_check("conformal_invariance", invariance, tiers.VERIFY_CONFORMAL))
+
+        if phi_mat is not None:
+            # Phi is constant in these coordinates, so nabla_a Phi = [Gamma_a, Phi]
+            # with the connection matrix (Gamma_a)^i_j = Gamma^i_aj.
+            ga = np.moveaxis(gamma, 1, 0)
+            nabla = ga @ phi_mat - phi_mat @ ga
+            checks.append(_check("parallel_structure", max_abs(nabla), tiers.VERIFY_KAHLER))
+        return {"checks": checks}
+
     points, records = _records(
         config, kind, target, name,
-        lambda act: _verify_act(act, config.samples, config.seed, debug_corrupt),
-        lambda u: _verify_chart_point(
-            target, scaled, phi_mat, config.samples, config.seed, debug_corrupt, u
-        ),
+        lambda act: _verify_act(act, config.samples, config.seed), at_point,
     )
     failed = sum(1 for rec in records for c in rec["checks"] if not c["passed"])
     total = sum(len(rec["checks"]) for rec in records)
@@ -792,13 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--cluster-tol", type=float, dest="cluster_tol", help="eigenvalue clustering tolerance")
         s.add_argument("--format", choices=("text", "json"), help="report format")
         s.add_argument("--out", help="write the report to this path instead of stdout")
-        if name == "verify":
-            s.add_argument(
-                "--debug-corrupt",
-                action="store_true",
-                dest="debug_corrupt",
-                help="inject a broken derivative tensor to prove the detectors fire",
-            )
     return parser
 
 
@@ -806,12 +780,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
-        if args.command == "analyze":
-            report, code = cmd_analyze(config)
-        elif args.command == "verify":
-            report, code = cmd_verify(config, debug_corrupt=args.debug_corrupt)
-        else:
-            report, code = cmd_spectrum(config)
+        command = {"analyze": cmd_analyze, "verify": cmd_verify, "spectrum": cmd_spectrum}
+        report, code = command[args.command](config)
         text = render_json(report) + "\n" if config.format == "json" else render_text(report)
         if config.out:
             try:

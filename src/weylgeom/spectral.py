@@ -226,25 +226,16 @@ def structured_directions(m: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def unit_directions(
-    m: int, n: int, seed: int, include_structured: bool = True
-) -> np.ndarray:
-    """Deterministic unit direction sample: structured set plus n
-    Gaussian-normalized draws.  The structured part catches axis aligned
-    degeneracies that random draws can miss."""
-    rng = np.random.default_rng(seed)
-    rows = [structured_directions(m)] if include_structured else []
-    draws = np.empty((n, m))
-    count = 0
-    while count < n:
-        v = rng.standard_normal(m)
-        nrm = np.linalg.norm(v)
-        if nrm < tiers.DIRECTION_NORM_FLOOR:
-            continue
-        draws[count] = v / nrm
-        count += 1
-    rows.append(draws)
-    return np.vstack(rows)
+def unit_directions(m: int, n: int, seed: int) -> np.ndarray:
+    """Deterministic unit direction sample: the m^2 structured_directions
+    rows, then n Gaussian-normalized draws.  The structured part catches
+    axis aligned degeneracies that random draws can miss.  A draw whose
+    norm is below the floor is a ValueError."""
+    v = np.random.default_rng(seed).standard_normal((n, m))
+    nrm = np.sqrt(np.vecdot(v, v))
+    if np.any(nrm < tiers.DIRECTION_NORM_FLOOR):
+        raise ValueError(f"direction draw of seed {seed} has norm below the floor")
+    return np.vstack([structured_directions(m), v / nrm[:, None]])
 
 
 def trace_check(

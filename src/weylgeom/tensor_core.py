@@ -31,7 +31,6 @@ __all__ = [
     "transform_tensor",
     "self_adjoint_residual",
     "skew_adjoint_residual",
-    "hermitian_residuals",
     "max_abs",
 ]
 
@@ -125,9 +124,16 @@ class HermitianStructure:
         return self.matrix.shape[0]
 
     def residuals(self, g: InnerProduct | None = None) -> dict:
+        """Residuals of the three compatibility invariants: square,
+        skew-adjointness, orthogonality; g defaults to the Euclidean one."""
         if g is None:
             g = InnerProduct.euclidean(self.dim)
-        return hermitian_residuals(self.matrix, g)
+        phi = self.matrix
+        return {
+            "square": max_abs(phi @ phi + np.eye(self.dim)),
+            "skew": skew_adjoint_residual(phi, g),
+            "orthogonality": max_abs(phi.T @ g.g @ phi - g.g),
+        }
 
     def validate(
         self, g: InnerProduct | None = None, tol: float = tiers.HERMITIAN_INVARIANTS
@@ -224,15 +230,3 @@ def skew_adjoint_residual(phi: np.ndarray, g: InnerProduct) -> float:
     """Max-norm of ``g Phi + Phi^T g``; zero iff Phi is g-skew-adjoint."""
     gp = g.g @ phi
     return max_abs(gp + gp.T)
-
-
-def hermitian_residuals(phi: np.ndarray, g: InnerProduct) -> dict:
-    """Residuals of the three compatibility invariants of an almost
-    complex structure: square, skew-adjointness, orthogonality."""
-    phi = np.asarray(phi, dtype=float)
-    m = phi.shape[0]
-    return {
-        "square": max_abs(phi @ phi + np.eye(m)),
-        "skew": skew_adjoint_residual(phi, g),
-        "orthogonality": max_abs(phi.T @ g.g @ phi - g.g),
-    }

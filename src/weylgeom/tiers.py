@@ -76,8 +76,7 @@ VERIFY_TRACE_CHART = 1e-5
 # Change of the mixed-index Weyl tensor under a conformal rescaling.
 VERIFY_CONFORMAL = 1e-5
 
-# Covariant derivative of the complex structure, and its anticommutator
-# with Phi.
+# Covariant derivative of the complex structure.
 VERIFY_KAHLER = 1e-3
 
 # Curvature symmetry residual, relative to max(1, max |A|).
@@ -88,6 +87,10 @@ VERIFY_RECONSTRUCTION = 1e-10
 
 # --------------------------------------------------------------------------
 # Input guards.
+
+# Largest model dimension the command line accepts, an integer: the m^5
+# nabla R array alone is over 268 MB above it.
+MAX_DIMENSION = 32
 
 # InnerProduct: symmetry of the matrix, relative to max(1, max |g|).
 INNER_PRODUCT_SYMMETRY = 1e-10

@@ -18,7 +18,6 @@ from weylgeom.chart_geometry import (
     _metric_jet,
     christoffel,
     conformal_rescale,
-    covariant_derivative_riemann,
     cyclic_bianchi_residual,
     default_probe_points,
     riemann_at,
@@ -49,36 +48,36 @@ CHART_FAMILIES = {
 
 # The seeded Ball probe points of default_probe_points(chart, 3, seed=1)
 # after the fixed first point, for Ball(1.0, margin=0.1) charts by
-# dimension, as the one-draw-at-a-time sampler produced them.
+# dimension, as the direction-times-radius sampler draws them.
 PINNED_BALL_POINTS = {
     8: [
         [
-            -0.06541272701589179, 0.142919625400468, -0.12837146500363295,
-            0.18973233500664777, -0.31978002949433526, -0.15838115960171661,
-            0.046778484190342806, -0.07813686468839509
+            0.0704401452163631, 0.16746975894594898, 0.06735272088737414,
+            -0.2656214802115612, 0.18453795105588974, 0.09098416657992978,
+            -0.1094467418986684, 0.11844883124681499
         ],
         [
-            -0.19138218508565075, 0.11540455215632561, -0.2676880670898313,
-            0.0614895438343519, 0.29017713652795374, -0.23039232121321868,
-            -0.029429059541621116, 0.08236872356503833
+            0.13561849121572844, 0.10941532006054071, 0.0105728835329879,
+            0.2033735717461777, -0.27395599111087476, -0.06060141026029341,
+            -0.17934515738336615, 0.22276678288695778
         ],
     ],
     16: [
         [
-            -0.023006193642853834, 0.17045611375330416, 0.21208075836125095,
-            -0.2336851738791716, -0.09842191552667806, 0.22735243047872844,
-            0.013753662243373044, 0.02401335364720958, -0.1065199859202457,
-            -0.17777088871230995, 0.1193960334473384, -0.1024788867082469,
-            -0.05993059609217216, -0.034140355037487136, -0.15393886193842155,
-            -0.005260784964977172
+            0.07545882251827737, 0.17940154408633296, 0.07215142722878455,
+            -0.2845463204364641, 0.19768580053094764, 0.09746655201859876,
+            -0.11724453785221395, 0.12688800267371564, 0.0796049251399523,
+            0.06422426827274065, 0.0062060386796231, 0.11937559405926797,
+            -0.1608058456374672, -0.03557162953149496, -0.10527146924976313,
+            0.1307589615281581
         ],
         [
-            0.30352291380683327, 0.11654451752205408, -0.13545166415512266,
-            -0.0523651925595181, 0.092313989671849, 0.07673773688225805,
-            0.2296071787257713, 0.025787735181117766, 0.11130066731632426,
-            0.039138753063546305, -0.141032067315641, 0.13586028638644632,
-            -0.044823930605477014, 0.021534656774916394, -0.04639146917291154,
-            -0.16439902870811007
+            0.004598039565394675, -0.03385338284795589, -0.09050995212410913,
+            -0.02977133322606589, 0.0009424995435908218, -0.031902462966985075,
+            0.14979458533251017, 0.11653355087864481, -0.31383109147104066,
+            -0.21866306183589285, -0.020230774375893518, -0.04887072563948612,
+            0.02473028289905584, 0.025156138498721618, 0.24515079904426607,
+            -0.12872215973838663
         ],
     ],
 }
@@ -180,16 +179,24 @@ class TestDomains:
     @pytest.mark.parametrize("dim", [4, 6, 8])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_ball_sampling_keeps_draw_order(self, dim, seed):
-        # Oracle: one cube draw at a time, the first `count` inside kept.
+        # Oracle: all Gaussian directions, then all radii, one point each.
         ball = Ball(1.0, margin=0.1)
         rng = np.random.default_rng(seed)
         limit = 0.6 * 0.9
-        expected = []
-        while len(expected) < 5:
-            v = rng.uniform(-limit, limit, size=dim)
-            if np.linalg.norm(v) <= limit:
-                expected.append(v)
+        v = rng.standard_normal((5, dim))
+        r = limit * rng.uniform(size=5) ** (1.0 / dim)
+        expected = [v[i] * (r[i] / np.sqrt(v[i] @ v[i])) for i in range(5)]
         assert np.array_equal(ball.interior_sample(5, seed, dim=dim), np.array(expected))
+
+    def test_ball_probe_points_at_m24(self):
+        # Rejection from the cube never finished here; the points lie in
+        # the sampling ball and come back bit for bit from the seed.
+        chart = hyperbolic_chart(24)
+        points = default_probe_points(chart, 3, seed=1)
+        assert points.shape == (3, 24)
+        assert np.all(np.linalg.norm(points[1:], axis=1) <= 0.6 * 0.9 * (1 + 1e-15))
+        assert np.array_equal(default_probe_points(chart, 3, seed=1), points)
+        assert not np.array_equal(default_probe_points(chart, 3, seed=2), points)
 
     @pytest.mark.parametrize(
         "build, pinned",
@@ -519,7 +526,7 @@ class TestCurvatureBlocks:
 
 class TestCovariantDerivatives:
     def test_flat_curvature_gradient_vanishes(self):
-        nr = covariant_derivative_riemann(flat_chart(3), np.full(3, 0.1))
+        nr = riemann_with_derivative(flat_chart(3), np.full(3, 0.1))[1]
         assert np.abs(nr).max() <= 1e-9
 
     def test_symmetric_spaces_are_parallel(self):
@@ -530,12 +537,12 @@ class TestCovariantDerivatives:
             (fubini_study_chart(2), np.full(4, 0.05)),
         ]
         for chart, u in cases:
-            assert np.abs(covariant_derivative_riemann(chart, u)).max() <= 1e-9
+            assert np.abs(riemann_with_derivative(chart, u)[1]).max() <= 1e-9
 
     def test_both_bianchi_residuals_near_zero(self):
         chart = fubini_study_chart(2)
         u = np.full(4, 0.05)
-        nr = covariant_derivative_riemann(chart, u)
+        nr = riemann_with_derivative(chart, u)[1]
         assert cyclic_bianchi_residual(nr) <= 1e-9
         assert second_bianchi_residual(chart, u) <= 1e-9
 
@@ -569,7 +576,7 @@ class TestCovariantDerivatives:
         assert second_bianchi_residual(fd, np.full(3, 0.05)) <= 1e-4
 
     def test_corrupted_gradient_fails_cyclic_identity(self):
-        nr = covariant_derivative_riemann(sphere_chart(3, 1.0), np.full(3, 0.05)).copy()
+        nr = riemann_with_derivative(sphere_chart(3, 1.0), np.full(3, 0.05))[1].copy()
         nr[0, 0, 0, 0, 1] += 0.1
         assert cyclic_bianchi_residual(nr) >= 0.09
 
@@ -602,7 +609,7 @@ class TestCovariantDerivatives:
             + np.einsum("snk,ijsl->ijkln", gamma, rc)
             + np.einsum("snl,ijks->ijkln", gamma, rc)
         )
-        got = covariant_derivative_riemann(chart, u)
+        got = riemann_with_derivative(chart, u)[1]
         assert got.shape == (4,) * 5
         assert max_abs(got - expect) <= 1e-12 * max(1.0, max_abs(expect))
 
@@ -613,7 +620,7 @@ class TestCovariantDerivatives:
         chart = perturbed_flat_chart(6, 0.1, seed=3)
         if not analytic:
             chart = dataclasses.replace(chart, d_metric=None, d2_metric=None)
-        nr = covariant_derivative_riemann(chart, np.linspace(-0.1, 0.1, 6))
+        nr = riemann_with_derivative(chart, np.linspace(-0.1, 0.1, 6))[1]
         assert max_abs(nr) > 1e-3
         assert np.array_equal(nr, -np.swapaxes(nr, 0, 1))
         assert np.array_equal(nr, -np.swapaxes(nr, 2, 3))
@@ -630,7 +637,7 @@ class TestCovariantDerivatives:
         assert chart.stacked and chart.analytic and chart.dim == 16
         u = np.full(16, 0.05)
         expect, r = per_slot_nabla_r(chart, u)
-        got = covariant_derivative_riemann(chart, u)
+        got = riemann_with_derivative(chart, u)[1]
         bound = 1e-15 * max(max_abs(expect), 3.0 / chart.step3 * max_abs(r))
         assert max_abs(got - expect) <= bound
 
@@ -639,11 +646,12 @@ class TestCovariantDerivatives:
         rng = np.random.default_rng(m)
         t = rng.normal(size=(m,) * 5)
         assert cyclic_bianchi_residual(t) == einsum_cyclic_residual(t)
-        # The layout covariant_derivative_riemann returns: derivative first
-        # in memory, an [i, j, k, l, n] view.
+        # The nabla R layout riemann_with_derivative returns: derivative
+        # first in memory, an [i, j, k, l, n] view.
         view = np.moveaxis(np.ascontiguousarray(np.moveaxis(t, -1, 0)), 0, -1)
         assert cyclic_bianchi_residual(view) == einsum_cyclic_residual(t)
-        nr = covariant_derivative_riemann(perturbed_flat_chart(m, 0.1, seed=3), np.full(m, 0.05))
+        chart = perturbed_flat_chart(m, 0.1, seed=3)
+        nr = riemann_with_derivative(chart, np.full(m, 0.05))[1]
         assert cyclic_bianchi_residual(nr) == einsum_cyclic_residual(nr) <= 1e-9
         nr = nr.copy()
         nr[0, 1, 0, 1, m - 1] += 0.1

@@ -150,6 +150,29 @@ class TestConfigParsing:
         assert code == 2
         assert "dimension 1" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "verify", "spectrum"])
+    def test_dimension_above_the_guard(self, capsys, command):
+        code, _, err = run(capsys, command, "--model", "space_form:m=33")
+        assert code == 2
+        assert "dimension 33" in err
+
+    @pytest.mark.parametrize("model", ["sphere:m=1000000000", "fubini_study:n=500000000"])
+    def test_huge_dimension_is_refused_before_the_build(self, capsys, monkeypatch, model):
+        def never(spec):
+            raise AssertionError(f"built {spec}")
+
+        monkeypatch.setattr(cli, "build_model", never)
+        code, _, err = run(capsys, "analyze", "--model", model)
+        assert code == 2
+        assert "dimension 1000000000" in err
+
+    def test_metric_dimension_above_the_guard(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"metric": {"constant": np.eye(33).tolist()}}))
+        code, _, err = run(capsys, "analyze", str(cfg))
+        assert code == 2
+        assert "dimension 33" in err
+
     def test_stdin_config(self, capsys, monkeypatch):
         payload = json.dumps(
             {"model": {"name": "space_form", "params": {"m": 4, "lambda0": 1.0}}}
@@ -335,7 +358,7 @@ class TestVerify:
     @pytest.mark.parametrize("name", ["fubini_study", "complex_hyperbolic"])
     def test_structure_residuals_are_the_christoffel_commutator(self, capsys, name):
         # Phi is constant in the chart, so nabla_a Phi = [Gamma_a, Phi], with
-        # Gamma from christoffel: bit for bit the reported residuals, and
+        # Gamma from christoffel: bit for bit the reported residual, and
         # roundoff on these Kähler charts.
         doc = run_json(capsys, "verify", "--model", f"{name}:n=2")
         chart = build_model(ModelSpec(name, {"n": 2}))
@@ -343,10 +366,8 @@ class TestVerify:
         for rec in doc["records"]:
             ga = np.moveaxis(chart_geometry.christoffel(chart, np.array(rec["point"])), 1, 0)
             nabla = ga @ phi - phi @ ga
-            anti = max(max_abs(n @ phi + phi @ n) for n in nabla)
             checks = {c["name"]: c["residual"] for c in rec["checks"]}
             assert checks["parallel_structure"] == max_abs(nabla) <= 1e-12
-            assert checks["structure_anticommutator"] == anti <= 1e-12
 
     @pytest.mark.parametrize("lam", ["1e6", "1e9"])
     def test_trace_tier_scales_with_the_tensor(self, capsys, lam):
@@ -374,53 +395,33 @@ class TestVerify:
             trace = next(c for c in rec["checks"] if c["name"] == "trace_free_jacobi")
             assert not trace["passed"]
 
-    def test_corrupted_derivative_fails(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--model", "sphere:m=3,r=1.0", "--debug-corrupt"
-        )
-        assert code == 1
+    def test_bianchi_check_fires_on_a_corrupted_derivative(self, capsys, monkeypatch):
+        # One entry of nabla R off by 0.1 breaks the cyclic sum at every point.
+        inner = chart_geometry.riemann_with_derivative
 
-    def test_corruption_is_surfaced_in_report(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "verify",
-            "--model",
-            "sphere:m=3,r=1.0",
-            "--debug-corrupt",
-            "--format",
-            "json",
-        )
+        def corrupted(chart, u):
+            r, nabla_r, gamma = inner(chart, u)
+            nabla_r[0, 0, 0, 0, 1] += 0.1
+            return r, nabla_r, gamma
+
+        monkeypatch.setattr(cli, "riemann_with_derivative", corrupted)
+        argv = ("verify", "--model", "sphere:m=3,r=1.0")
+        code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 1
         doc = json.loads(out)
         assert doc["summary"]["all_passed"] is False
-        failed = [
-            c for r in doc["records"] for c in r["checks"] if not c["passed"]
-        ]
-        assert failed
-        assert any(c["name"] == "second_bianchi_corrupted" for c in failed)
-
-    def test_corruption_reuses_one_covariant_derivative_per_point(self, capsys, monkeypatch):
-        argv = ("verify", "--model", "sphere:m=3,r=1.0", "--format", "json")
-        _, clean, _ = run(capsys, *argv)
-        calls = []
-        inner = chart_geometry.riemann_with_derivative
-
-        def counted(chart, u):
-            calls.append(u)
-            return inner(chart, u)
-
-        monkeypatch.setattr(cli, "riemann_with_derivative", counted)
-        monkeypatch.setattr(chart_geometry, "riemann_with_derivative", counted)
-        code, out, _ = run(capsys, *argv, "--debug-corrupt")
-        assert code == 1
-        doc = json.loads(out)
-        assert len(calls) == len(doc["records"])
-        # Removing the corrupted checks leaves the clean records byte for byte.
         for rec in doc["records"]:
-            corrupted = [c for c in rec["checks"] if c["name"] == "second_bianchi_corrupted"]
-            assert len(corrupted) == 1 and not corrupted[0]["passed"]
-            rec["checks"].remove(corrupted[0])
-        assert cli.render_json(doc["records"]) == cli.render_json(json.loads(clean)["records"])
+            bianchi = next(c for c in rec["checks"] if c["name"] == "second_bianchi")
+            assert not bianchi["passed"]
+        code, text, _ = run(capsys, *argv)
+        assert code == 1
+        assert "FAIL  second_bianchi" in text
+
+    def test_debug_corrupt_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--model", "sphere:m=3,r=1.0", "--debug-corrupt"])
+        assert exc.value.code == 2
+        assert "--debug-corrupt" in capsys.readouterr().err
 
 
 class TestChartPointCurvature:

@@ -11,6 +11,7 @@ from weylgeom.curvature_algebra import (
     random_act,
     weyl_decompose,
 )
+from weylgeom import tiers
 from weylgeom.models import standard_phi
 from weylgeom.spectral import (
     SpectralProfile,
@@ -55,12 +56,12 @@ class TestJacobiOperator:
     def test_annihilates_own_direction(self):
         for seed in range(3):
             a = random_act(seed, 5)
-            x = unit_directions(5, 1, seed=seed, include_structured=False)[0]
+            x = unit_directions(5, 1, seed=seed)[-1]
             assert np.abs(jacobi_operator(a, x) @ x).max() <= 1e-12
 
     def test_self_adjoint(self):
         a = random_act(11, 6)
-        x = unit_directions(6, 1, seed=0, include_structured=False)[0]
+        x = unit_directions(6, 1, seed=0)[-1]
         j = jacobi_operator(a, x)
         assert max_abs(j - j.T) <= 1e-12
 
@@ -84,7 +85,7 @@ class TestJacobiOperator:
 
 class TestComplementBasis:
     def test_column_geometry(self):
-        x = unit_directions(5, 1, seed=4, include_structured=False)[0]
+        x = unit_directions(5, 1, seed=4)[-1]
         b = complement_basis(x)
         assert b.shape == (5, 4)
         assert max_abs(b.T @ b - np.eye(4)) <= 1e-14
@@ -97,7 +98,7 @@ class TestComplementBasis:
         assert np.abs(b.T @ x).max() <= 1e-14
 
     def test_deterministic(self):
-        x = unit_directions(6, 1, seed=8, include_structured=False)[0]
+        x = unit_directions(6, 1, seed=8)[-1]
         assert_allclose(complement_basis(x), complement_basis(x))
 
 
@@ -105,14 +106,14 @@ class TestReducedJacobi:
     def test_sphere_is_identity(self):
         for m in (3, 5, 8):
             g = InnerProduct.euclidean(m)
-            x = unit_directions(m, 1, seed=m, include_structured=False)[0]
+            x = unit_directions(m, 1, seed=m)[-1]
             assert_allclose(reduced_jacobi(r0(g), x), np.eye(m - 1), atol=1e-12)
 
     def test_complex_space_form_weyl_spectrum(self):
         # m=8: one eigenvalue at 18/7, six at -3/7, independent of x.
         g = InnerProduct.euclidean(8)
         w = weyl_decompose(complex_space_form_act(1.0, 1.0, standard_phi(8))).w
-        for x in unit_directions(8, 3, seed=2, include_structured=False):
+        for x in unit_directions(8, 3, seed=2)[8 * 8 :]:
             eig = np.sort(np.linalg.eigvalsh(reduced_jacobi(w, x)))
             expect = np.array([-3.0 / 7.0] * 6 + [18.0 / 7.0])
             assert_allclose(eig, expect, atol=1e-12)
@@ -169,9 +170,14 @@ class TestDirectionSampling:
         assert_allclose(full[: len(s)], s)
 
     def test_random_only(self):
-        dirs = unit_directions(5, 7, seed=1, include_structured=False)
+        dirs = unit_directions(5, 7, seed=1)[5 * 5 :]
         assert dirs.shape == (7, 5)
         assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-14)
+
+    def test_draw_below_the_norm_floor_raises(self, monkeypatch):
+        monkeypatch.setattr(tiers, "DIRECTION_NORM_FLOOR", 1e3)
+        with pytest.raises(ValueError, match="norm"):
+            unit_directions(4, 3, seed=0)
 
     def test_deterministic_across_calls(self):
         a = unit_directions(6, 20, seed=9)

@@ -32,6 +32,7 @@ PINNED = {
     "VERIFY_KAHLER": 1e-3,
     "VERIFY_SYMMETRY": 1e-10,
     "VERIFY_RECONSTRUCTION": 1e-10,
+    "MAX_DIMENSION": 32,
     "INNER_PRODUCT_SYMMETRY": 1e-10,
     "CHART_METRIC_SYMMETRY": 1e-9,
     "EUCLIDEAN_FRAME": 1e-12,
@@ -55,7 +56,9 @@ ALLOWED = {
 def test_every_entry_is_pinned():
     table = {name: value for name, value in vars(tiers).items() if not name.startswith("_")}
     assert table == PINNED
-    assert all(type(value) is float for value in table.values())
+    # Every threshold is a float but the dimension guard, a count.
+    assert {name for name, value in table.items() if type(value) is not float} == {"MAX_DIMENSION"}
+    assert type(tiers.MAX_DIMENSION) is int
 
 
 def _exponent_literals(path: Path):
