@@ -40,19 +40,20 @@ import numpy as np
 
 from . import tiers
 from .chart_geometry import MetricChart, riemann_at
-from .curvature_algebra import CurvatureDecomposition, r0, a_phi, weyl_decompose
+from .curvature_algebra import CurvatureDecomposition, a_phi, r0, weyl_decompose
 from .spectral import (
     DEFAULT_SAMPLES,
     OssermanReport,
     SpectralProfile,
     cluster_spectrum,
-    direction_spectra,
     osserman_test,
     structured_directions,
+    structured_spectra,
 )
 from .tensor_core import (
     CurvatureTensor,
     HermitianStructure,
+    InnerProduct,
     max_abs,
     orthonormal_frame,
     transform_tensor,
@@ -169,11 +170,19 @@ def recover_phi(
     of its skew part, exceed recon_tol.
     """
     _require_euclidean(b)
-    m = b.dim
+    return _recover_phi_model(b.components, b.metric, degeneracy_tol, recon_tol)[0]
+
+
+def _recover_phi_model(
+    c: np.ndarray, g: InnerProduct, degeneracy_tol: float, recon_tol: float
+) -> tuple[HermitianStructure, np.ndarray]:
+    """recover_phi on the components c of a tensor over the orthonormal
+    metric g, returning Phi together with the components of a_phi(Phi),
+    the model it was validated against."""
+    m = c.shape[0]
     if m % 2 != 0:
         raise ValueError(f"even dimension required, got m={m}")
-    c = b.components
-    scale = max(1.0, b.max_abs())
+    scale = max(1.0, max_abs(c))
 
     # Pivot: diag[p, q] = B_pqqp = 3 Phi_pq^2, maximal over p != q.  The
     # first entry in row-major order within a relative tiers.PIVOT_TIE of
@@ -210,19 +219,20 @@ def recover_phi(
     # the generator's own guard; the residual is judged against recon_tol
     # and the skew part carried on.
     skew = max_abs(phi + phi.T)
-    if skew > recon_tol:
+    if not skew <= recon_tol:
         raise ReconstructionFailedError(
             f"skew-adjointness residual {skew:.3e} exceeds {recon_tol:.1e}"
         )
     phi = 0.5 * (phi - phi.T)
     square = max_abs(phi @ phi + np.eye(m))
-    recon = max_abs(a_phi(phi, b.metric).components - c)
-    if max(square, recon / scale) > recon_tol:
+    model = a_phi(phi, g).components
+    recon = max_abs(model - c)
+    if not (square <= recon_tol and recon / scale <= recon_tol):
         raise ReconstructionFailedError(
             f"validation residuals square={square:.3e} "
             f"reconstruction={recon:.3e} exceed {recon_tol:.1e}"
         )
-    return HermitianStructure(phi)
+    return HermitianStructure(phi), model
 
 
 @dataclass(frozen=True)
@@ -255,9 +265,8 @@ def consensus_profile(
     profile and the direction it came from.
     """
     _require_euclidean(w)
-    dirs = structured_directions(w.dim)
-    profile, i = _modal_profile(direction_spectra(w, dirs), cluster_tol)
-    return profile, dirs[i]
+    profile, i = _modal_profile(structured_spectra(w), cluster_tol)
+    return profile, structured_directions(w.dim)[i]
 
 
 def _modal_profile(rows: np.ndarray, cluster_tol: float) -> tuple[SpectralProfile, int]:
@@ -359,19 +368,23 @@ def _classify_constant(
             )
             return verdict(VerdictKind.OSSERMAN_OTHER)
         r0_comps = r0(w.metric).components
+        # One work array holds B = (W - lambda0 R0) / lambda1 and then
+        # the residual W - (lambda0 R0 + lambda1 A_Phi).
+        buf = np.multiply(r0_comps, lambda0)
+        np.subtract(w.components, buf, out=buf)
+        buf /= lambda1
         try:
-            phi = recover_phi(
-                CurvatureTensor((w.components - lambda0 * r0_comps) / lambda1, w.metric),
-                degeneracy_tol=tol.degeneracy_tol,
-                recon_tol=tol.recon_tol,
+            phi, a_phi_comps = _recover_phi_model(
+                buf, w.metric, degeneracy_tol=tol.degeneracy_tol, recon_tol=tol.recon_tol
             )
         except (DegenerateInputError, ReconstructionFailedError) as exc:
             warnings.append(f"Hermitian structure recovery failed: {exc}")
             return verdict(VerdictKind.OSSERMAN_OTHER)
-        model = lambda0 * r0_comps + lambda1 * a_phi(phi, w.metric).components
-        diagnostics["reconstruction_residual"] = max_abs(w.components - model) / max(
-            1.0, weyl_max
-        )
+        model = np.multiply(r0_comps, lambda0, out=buf)
+        model += lambda1 * a_phi_comps
+        diagnostics["reconstruction_residual"] = max_abs(
+            np.subtract(w.components, model, out=model)
+        ) / max(1.0, weyl_max)
         if m < 8:
             warnings.append(
                 f"below theorem threshold m>=8: the rigidity statement is not "

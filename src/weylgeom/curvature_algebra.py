@@ -77,8 +77,6 @@ class CurvatureDecomposition:
         Covariant Ricci form in the same frame as ``r``.
     tau : float
         Scalar curvature.
-    l : CurvatureTensor
-        Ricci part built from the Ricci form.
     w : CurvatureTensor
         Conformal part; trace free in the Jacobi sense.
     c1, c2 : float
@@ -88,7 +86,6 @@ class CurvatureDecomposition:
     r: CurvatureTensor
     ricci: np.ndarray
     tau: float
-    l: CurvatureTensor
     w: CurvatureTensor
     c1: float
     c2: float
@@ -103,16 +100,22 @@ class CurvatureDecomposition:
         rebuilt = (
             self.w.components
             + self.c1 * self.tau * r0(g).components
-            + self.c2 * self.l.components
+            + self.c2 * l_tensor(self.ricci, g).components
         )
         return max_abs(self.r.components - rebuilt)
 
 
+def _pair_products(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The array e_li e_kj - e_ki e_lj at [i, j, k, l], and the outer
+    product o[i, j, k, l] = e_ji e_lk whose two transposed views it is
+    the difference of."""
+    o = np.multiply.outer(e.T, e.T)
+    return np.subtract(o.transpose(0, 2, 3, 1), o.transpose(0, 2, 1, 3)), o
+
+
 def r0(g: InnerProduct) -> CurvatureTensor:
     """Constant curvature tensor: (R0)_ijkl = g_jk g_il - g_ik g_jl."""
-    gm = g.g
-    comps = np.einsum("jk,il->ijkl", gm, gm) - np.einsum("ik,jl->ijkl", gm, gm)
-    return CurvatureTensor(comps, g)
+    return CurvatureTensor(_pair_products(g.g)[0], g)
 
 
 def ricci_scalar(a: CurvatureTensor) -> tuple[np.ndarray, float]:
@@ -127,7 +130,7 @@ def ricci_scalar(a: CurvatureTensor) -> tuple[np.ndarray, float]:
     tolerance, RICCI_CONTRACTION_SYMMETRY; a ValueError says otherwise.
     """
     res = symmetry_residual(a)
-    if res > tiers.RICCI_CONTRACTION_SYMMETRY * max(1.0, a.max_abs()):
+    if not res <= tiers.RICCI_CONTRACTION_SYMMETRY * max(1.0, a.max_abs()):
         raise ValueError(f"symmetry residual {res:.3e} too large for Ricci contraction")
     if a.metric.is_euclidean():
         rho = np.einsum("ikkj->ij", a.components)
@@ -145,7 +148,7 @@ def l_tensor(rho: np.ndarray, g: InnerProduct) -> CurvatureTensor:
     L_ijkl = rho_jk g_il - rho_ik g_jl + g_jk rho_il - g_ik rho_jl.
     """
     rho = np.asarray(rho, dtype=float)
-    if max_abs(rho - rho.T) > tiers.RICCI_FORM_SYMMETRY * max(1.0, max_abs(rho)):
+    if not max_abs(rho - rho.T) <= tiers.RICCI_FORM_SYMMETRY * max(1.0, max_abs(rho)):
         raise ValueError("Ricci form must be symmetric")
     gm = g.g
     comps = (
@@ -165,13 +168,29 @@ def weyl_decompose(a: CurvatureTensor) -> CurvatureDecomposition:
     check.  The reconstruction identity R = W + c1 tau R0 + c2 L holds
     to roundoff by construction.
     """
-    m = a.dim
-    c1, c2 = weyl_constants(m)
+    c1, c2 = weyl_constants(a.dim)
     rho, tau = ricci_scalar(a)
-    ell = l_tensor(rho, a.metric)
-    w_comps = a.components - c1 * tau * r0(a.metric).components - c2 * ell.components
-    w = CurvatureTensor(w_comps, a.metric)
-    return CurvatureDecomposition(r=a, ricci=rho, tau=tau, l=ell, w=w, c1=c1, c2=c2)
+    # c1 tau R0 + c2 L = K (x) g, the Kulkarni-Nomizu product of
+    # K = c2 rho + (c1 tau / 2) g with g, so W = A - K (x) g.
+    gm = a.metric.g
+    k = c2 * rho + (0.5 * c1 * tau) * gm
+    w = CurvatureTensor(_minus_kulkarni_nomizu(a.components, k, gm), a.metric)
+    return CurvatureDecomposition(r=a, ricci=rho, tau=tau, w=w, c1=c1, c2=c2)
+
+
+def _minus_kulkarni_nomizu(a: np.ndarray, k: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """A - K (x) g for symmetric K and g, in one fresh array, where
+    (K (x) g)_ijkl = K_jk g_il + g_jk K_il - K_ik g_jl - g_ik K_jl."""
+    m = g.shape[0]
+    # e[i, l, j, k] = g_il K_jk + K_il g_jk is one rank-2 product over the
+    # index pairs (il) and (jk); its [i, j, k, l] view minus the same view
+    # with i and j swapped is K (x) g.
+    left = np.stack([g, k]).reshape(2, m * m)
+    right = np.stack([k, g]).reshape(2, m * m)
+    e = (left.T @ right).reshape(m, m, m, m).transpose(0, 2, 3, 1)
+    out = np.subtract(a, e)
+    out += e.swapaxes(0, 1)
+    return out
 
 
 def a_psi(psi: np.ndarray, g: InnerProduct) -> CurvatureTensor:
@@ -179,12 +198,11 @@ def a_psi(psi: np.ndarray, g: InnerProduct) -> CurvatureTensor:
     matrix."""
     mat = np.asarray(psi, dtype=float)
     res = self_adjoint_residual(mat, g)
-    if res > tiers.GENERATOR_ADJOINT * max(1.0, max_abs(mat)):
+    if not res <= tiers.GENERATOR_ADJOINT * max(1.0, max_abs(mat)):
         raise ValueError(f"endomorphism is not g-self-adjoint (residual {res:.3e})")
     # E_li = g(Psi e_i, e_l); E is symmetric exactly when Psi is g-self-adjoint.
     e = g.g @ mat
-    comps = np.einsum("li,kj->ijkl", e, e) - np.einsum("ki,lj->ijkl", e, e)
-    return CurvatureTensor(comps, g)
+    return CurvatureTensor(_pair_products(e)[0], g)
 
 
 def a_phi(phi: HermitianStructure | np.ndarray, g: InnerProduct) -> CurvatureTensor:
@@ -195,14 +213,11 @@ def a_phi(phi: HermitianStructure | np.ndarray, g: InnerProduct) -> CurvatureTen
     """
     mat = phi.matrix if isinstance(phi, HermitianStructure) else np.asarray(phi, dtype=float)
     res = skew_adjoint_residual(mat, g)
-    if res > tiers.GENERATOR_ADJOINT * max(1.0, max_abs(mat)):
+    if not res <= tiers.GENERATOR_ADJOINT * max(1.0, max_abs(mat)):
         raise ValueError(f"endomorphism is not g-skew-adjoint (residual {res:.3e})")
-    f = g.g @ mat
-    comps = (
-        np.einsum("li,kj->ijkl", f, f)
-        - np.einsum("ki,lj->ijkl", f, f)
-        - 2.0 * np.einsum("ji,lk->ijkl", f, f)
-    )
+    comps, o = _pair_products(g.g @ mat)
+    o *= 2.0
+    comps -= o
     return CurvatureTensor(comps, g)
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "complement_basis",
     "reduced_jacobi",
     "direction_spectra",
+    "structured_spectra",
     "spectral_profile",
     "cluster_spectrum",
     "unit_directions",
@@ -136,39 +137,103 @@ def complement_basis(x: np.ndarray) -> np.ndarray:
     return _complement_bases(np.asarray(x, dtype=float)[None, :])[0]
 
 
-def _reduced_jacobi_stack(comps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Reduced Jacobi operators of the unit rows of dirs, (n, m-1, m-1)."""
+def _reduce(jac: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Jacobi operators jac of the unit rows of dirs compressed to their
+    Householder complements, (n, m-1, m-1)."""
     nrm = np.linalg.norm(dirs, axis=1)
     bad = np.flatnonzero(np.abs(nrm - 1.0) > tiers.UNIT_DIRECTION)
     if bad.size:
         raise ValueError(f"direction must be unit length, got |x| = {float(nrm[bad[0]])!r}")
     p = _complement_bases(dirs)
-    return np.swapaxes(p, 1, 2) @ _jacobi_stack(comps, dirs) @ p
+    return np.swapaxes(p, 1, 2) @ jac @ p
 
 
 def reduced_jacobi(a: CurvatureTensor, x: np.ndarray) -> np.ndarray:
     """Jacobi operator restricted to the complement of unit x."""
     _require_orthonormal(a)
-    return _reduced_jacobi_stack(a.components, np.asarray(x, dtype=float)[None, :])[0]
+    x = np.asarray(x, dtype=float)[None, :]
+    return _reduce(_jacobi_stack(a.components, x), x)[0]
+
+
+def _spectra(dirs: np.ndarray, jacobi) -> np.ndarray:
+    """Ascending reduced spectra of the unit rows of dirs, shape (n, m - 1);
+    jacobi(block) gives the Jacobi operators of the rows dirs[block].
+
+    Rows are solved in fixed blocks, which bounds the memory of the
+    stacked operators.
+    """
+    spectra = np.empty((dirs.shape[0], dirs.shape[1] - 1))
+    for start in range(0, dirs.shape[0], _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        spectra[block] = _self_adjoint_eigvalsh(_reduce(jacobi(block), dirs[block]))
+    return spectra
 
 
 def direction_spectra(a: CurvatureTensor, dirs: np.ndarray) -> np.ndarray:
     """Ascending reduced Jacobi spectra of the unit rows of dirs, one row
     each, shape (n, m - 1).
 
-    Rows are solved in fixed blocks, which bounds the memory of the
-    stacked operators.  A row that is not unit length, or whose reduced
-    operator is not self adjoint, raises ValueError.
+    A row that is not unit length, or whose reduced operator is not self
+    adjoint, raises ValueError.
     """
     _require_orthonormal(a)
-    # Contiguous once, so every block reshapes the tensor without a copy.
-    comps = np.ascontiguousarray(a.components)
     dirs = np.asarray(dirs, dtype=float)
-    spectra = np.empty((dirs.shape[0], a.dim - 1))
-    for start in range(0, dirs.shape[0], _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        spectra[block] = _self_adjoint_eigvalsh(_reduced_jacobi_stack(comps, dirs[block]))
-    return spectra
+    return _spectra(dirs, lambda block: _jacobi_stack(a.components, dirs[block]))
+
+
+def _structured_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Axes i, j and signs s of the structured_directions rows, in order:
+    (i, i, 0) for each axis, then (i, j, +1) and (i, j, -1) for each
+    i < j in row-major order."""
+    iu, ju = np.triu_indices(m, 1)
+    axes = np.arange(m)
+    i = np.concatenate([axes, np.repeat(iu, 2)])
+    j = np.concatenate([axes, np.repeat(ju, 2)])
+    s = np.concatenate([np.zeros(m), np.tile([1.0, -1.0], iu.size)])
+    return i, j, s
+
+
+def _structured_rows(m: int, i: np.ndarray, j: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The unit rows (e_i + s e_j)/sqrt2 of a pair index, and e_i for an axis."""
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    dirs = np.zeros((i.size, m))
+    dirs[np.arange(m), i[:m]] = 1.0
+    pairs = np.arange(m, i.size)
+    dirs[pairs, i[m:]] = inv_sqrt2
+    dirs[pairs, j[m:]] = s[m:] * inv_sqrt2
+    return dirs
+
+
+def _structured_jacobi(ab: np.ndarray, i: np.ndarray, j: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Jacobi operators of the structured rows (i, j, s), read off slices
+    of the tensor, shape (n, m, m).
+
+    With T_ab[z, y] = A[y, a, b, z], held in ab[y, a m + b, z],
+    J(e_i) = T_ii and J((e_i + s e_j)/sqrt2) = (T_ii + T_jj)/2 +
+    s (T_ij + T_ji)/2.  An axis row has i = j and s = 0, for which the
+    formula gives T_ii exactly.
+    """
+    m = ab.shape[0]
+    jac = ab[:, i * m + i] + ab[:, j * m + j]
+    jac *= 0.5
+    cross = ab[:, i * m + j] + ab[:, j * m + i]
+    cross *= (0.5 * s)[:, None]
+    jac += cross
+    return np.transpose(jac, (1, 2, 0))
+
+
+def structured_spectra(a: CurvatureTensor) -> np.ndarray:
+    """Ascending reduced Jacobi spectra of the structured_directions rows,
+    shape (m * m, m - 1); the operators come from slices of the tensor
+    rather than from a product over all of it."""
+    _require_orthonormal(a)
+    m = a.dim
+    i, j, s = _structured_index(m)
+    ab = a.components.reshape(m, m * m, m)
+    return _spectra(
+        _structured_rows(m, i, j, s),
+        lambda block: _structured_jacobi(ab, i[block], j[block], s[block]),
+    )
 
 
 def _self_adjoint_eigvalsh(mat: np.ndarray) -> np.ndarray:
@@ -213,17 +278,17 @@ def spectral_profile(mat: np.ndarray, cluster_tol: float = tiers.CLUSTER) -> Spe
 
 def structured_directions(m: int) -> np.ndarray:
     """Fixed direction set: basis vectors and normalized pairs (e_i +- e_j)/sqrt2."""
-    dirs = [np.eye(m)[i] for i in range(m)]
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(m):
-        for j in range(i + 1, m):
-            e = np.zeros(m)
-            e[i] = inv_sqrt2
-            e[j] = inv_sqrt2
-            dirs.append(e.copy())
-            e[j] = -inv_sqrt2
-            dirs.append(e)
-    return np.array(dirs)
+    return _structured_rows(m, *_structured_index(m))
+
+
+def _random_directions(m: int, n: int, seed: int) -> np.ndarray:
+    """n Gaussian-normalized draws; a draw whose norm is below the floor
+    is a ValueError."""
+    v = np.random.default_rng(seed).standard_normal((n, m))
+    nrm = np.sqrt(np.vecdot(v, v))
+    if np.any(nrm < tiers.DIRECTION_NORM_FLOOR):
+        raise ValueError(f"direction draw of seed {seed} has norm below the floor")
+    return v / nrm[:, None]
 
 
 def unit_directions(m: int, n: int, seed: int) -> np.ndarray:
@@ -231,11 +296,7 @@ def unit_directions(m: int, n: int, seed: int) -> np.ndarray:
     rows, then n Gaussian-normalized draws.  The structured part catches
     axis aligned degeneracies that random draws can miss.  A draw whose
     norm is below the floor is a ValueError."""
-    v = np.random.default_rng(seed).standard_normal((n, m))
-    nrm = np.sqrt(np.vecdot(v, v))
-    if np.any(nrm < tiers.DIRECTION_NORM_FLOOR):
-        raise ValueError(f"direction draw of seed {seed} has norm below the floor")
-    return np.vstack([structured_directions(m), v / nrm[:, None]])
+    return np.vstack([structured_directions(m), _random_directions(m, n, seed)])
 
 
 def trace_check(
@@ -273,7 +334,9 @@ def osserman_test(
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    spectra = direction_spectra(a, unit_directions(a.dim, samples, seed))
+    spectra = np.vstack(
+        [structured_spectra(a), direction_spectra(a, _random_directions(a.dim, samples, seed))]
+    )
     # Max pairwise L-inf distance of sorted rows equals the widest
     # per-coordinate range.
     distance = float(np.max(spectra.max(axis=0) - spectra.min(axis=0)))

@@ -36,7 +36,7 @@ __all__ = [
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+    out = np.array(a, dtype=float, order="C")
     out.flags.writeable = False
     return out
 
@@ -45,9 +45,12 @@ def max_abs(a) -> float:
     """Max absolute entry of an array or of a CurvatureTensor's components."""
     if isinstance(a, CurvatureTensor):
         a = a.components
-    if np.size(a) == 0:
+    a = np.asarray(a)
+    if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a)))
+    # Two reductions in place of forming |a|.  np.maximum keeps a NaN, and
+    # adding +0.0 turns the -0.0 of an all-(-0.0) array into +0.0.
+    return float(np.maximum(a.max(), -a.min())) + 0.0
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,8 @@ class HermitianStructure:
             raise ValueError(f"almost complex structure must be square, got shape {mat.shape}")
         if mat.shape[0] % 2 != 0:
             raise ValueError("almost complex structures exist only in even dimensions")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("almost complex structure has non-finite entries")
         object.__setattr__(self, "matrix", _as_readonly(mat))
 
     @property
@@ -139,7 +144,7 @@ class HermitianStructure:
         self, g: InnerProduct | None = None, tol: float = tiers.HERMITIAN_INVARIANTS
     ) -> None:
         res = self.residuals(g)
-        bad = {k: v for k, v in res.items() if v > tol}
+        bad = {k: v for k, v in res.items() if not v <= tol}
         if bad:
             raise ValueError(f"Hermitian structure invariants violated: {bad}")
 
@@ -151,7 +156,9 @@ class CurvatureTensor:
     Construction does not force the curvature symmetries; use
     :func:`symmetry_residual` to measure them.  Finite difference
     pipelines produce small violations by nature and the residual is a
-    first-class diagnostic.
+    first-class diagnostic.  The components are kept as a read-only,
+    C-contiguous copy, so reshaping them makes no copy; non-finite
+    entries are a ValueError.
     """
 
     components: np.ndarray
@@ -165,6 +172,10 @@ class CurvatureTensor:
             raise ValueError(
                 f"tensor dimension {comps.shape[0]} does not match metric dimension {self.metric.dim}"
             )
+        # max_abs is NaN or inf exactly when some component is, and needs
+        # no m^4 mask.
+        if not np.isfinite(max_abs(comps)):
+            raise ValueError("curvature components have non-finite entries")
         object.__setattr__(self, "components", _as_readonly(comps))
 
     @property
@@ -183,11 +194,13 @@ def symmetry_residual(a: CurvatureTensor) -> float:
     algebraic curvature tensor.
     """
     c = a.components
-    res = max_abs(c + np.swapaxes(c, 0, 1))
-    res = max(res, max_abs(c + np.swapaxes(c, 2, 3)))
-    res = max(res, max_abs(c - np.transpose(c, (2, 3, 0, 1))))
-    cyclic = c + np.transpose(c, (2, 0, 1, 3)) + np.transpose(c, (1, 2, 0, 3))
-    return max(res, max_abs(cyclic))
+    buf = np.empty_like(c)
+    res = max_abs(np.add(c, np.swapaxes(c, 0, 1), out=buf))
+    res = max(res, max_abs(np.add(c, np.swapaxes(c, 2, 3), out=buf)))
+    res = max(res, max_abs(np.subtract(c, np.transpose(c, (2, 3, 0, 1)), out=buf)))
+    np.add(c, np.transpose(c, (2, 0, 1, 3)), out=buf)
+    buf += np.transpose(c, (1, 2, 0, 3))
+    return max(res, max_abs(buf))
 
 
 def orthonormal_frame(g: InnerProduct) -> np.ndarray:
@@ -212,10 +225,11 @@ def transform_tensor(a: CurvatureTensor, b: np.ndarray) -> CurvatureTensor:
     if b.shape != (m, m):
         raise ValueError(f"basis transform shape {b.shape} does not match tensor dimension {m}")
     # Each contraction takes the leading slot and appends the new index,
-    # so after four the slots are back in order.
+    # so after four the slots are back in order.  The transposed view goes
+    # to the product as it is, without the copy tensordot would make.
     comps = a.components
     for _ in range(4):
-        comps = np.tensordot(comps, b, axes=([0], [0]))
+        comps = (comps.reshape(m, m**3).T @ b).reshape(m, m, m, m)
     new_g = InnerProduct(b.T @ a.metric.g @ b)
     return CurvatureTensor(comps, new_g)
 

@@ -41,9 +41,18 @@ from weylgeom.models import (
     sphere_chart,
     standard_phi,
 )
-from weylgeom.spectral import OssermanReport, SpectralProfile, osserman_test
+from weylgeom.spectral import (
+    OssermanReport,
+    SpectralProfile,
+    cluster_spectrum,
+    direction_spectra,
+    osserman_test,
+    structured_directions,
+    unit_directions,
+)
 from weylgeom.tensor_core import (
     CurvatureTensor,
+    HermitianStructure,
     InnerProduct,
     max_abs,
     transform_tensor,
@@ -179,6 +188,66 @@ class TestAnalyzePoint:
         analysis = analyze_point(transform_tensor(a, b))
         assert analysis.decomposition.w.metric.is_euclidean()
         assert analysis.verdict.kind is VerdictKind.CONFORMALLY_COMPLEX_SPACE_FORM
+
+
+# Left multiplication by i, j, k on the quaternions in the basis 1, i, j, k.
+QUATERNION_UNITS = (
+    np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float),
+    np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float),
+    np.array([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=float),
+)
+
+
+def screen_tensor(kind, m, seed):
+    """A seeded tensor of one verdict kind, rotated off the coordinate
+    axes, and the kind expected of it."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((m, m)))
+    q = q * np.sign(np.diag(r))
+    e = InnerProduct.euclidean(m)
+    if kind == "random":
+        return random_act(seed, m), VerdictKind.NOT_CONFORMALLY_OSSERMAN
+    if kind == "complex":
+        phi = HermitianStructure(q @ standard_phi(m).matrix @ q.T)
+        return complex_space_form_act(0.7, -1.3, phi), VerdictKind.CONFORMALLY_COMPLEX_SPACE_FORM
+    if kind == "space":
+        g = InnerProduct(q @ np.diag(rng.uniform(0.5, 2.0, m)) @ q.T)
+        return CurvatureTensor(-1.7 * r0(g).components, g), VerdictKind.CONFORMALLY_FLAT
+    comps = 0.4 * r0(e).components
+    for unit in QUATERNION_UNITS:
+        comps = comps + 1.1 * a_phi(q @ np.kron(np.eye(m // 4), unit) @ q.T, e).components
+    return CurvatureTensor(comps, e), VerdictKind.OSSERMAN_OTHER
+
+
+class TestScreenTensors:
+    """The structured spectra read off the tensor, checked against the
+    general product over the same direction rows."""
+
+    @pytest.mark.parametrize(
+        "kind,m",
+        [(k, m) for m in (8, 10, 16, 24) for k in ("random", "complex", "space", "quaternionic")
+         if k != "quaternionic" or m % 4 == 0],
+    )
+    def test_verdict_and_profile_match_the_general_spectra(self, kind, m):
+        a, expect_kind = screen_tensor(kind, m, seed=m)
+        analysis = analyze_point(a)
+        assert analysis.verdict.kind is expect_kind
+        assert not any(w.startswith("parity") for w in analysis.verdict.warnings)
+        w = analysis.decomposition.w
+        expect = direction_spectra(w, unit_directions(m, 64, seed=0))
+        scale = max(1.0, max_abs(expect))
+        assert max_abs(analysis.osserman.spectra - expect) <= 1e-13 * scale
+        profile, direction = consensus_profile(w)
+        assert profile == analysis.profile
+        row = np.flatnonzero((structured_directions(m) == direction).all(axis=1))[0]
+        reference = cluster_spectrum(expect[row])
+        assert reference.multiplicities == profile.multiplicities
+        assert_allclose(reference.values, profile.values, rtol=0.0, atol=1e-13 * scale)
+        v = analysis.verdict
+        if v.phi is not None:
+            model = v.lambda0 * r0(w.metric).components + v.lambda1 * a_phi(v.phi, w.metric).components
+            residual = max_abs(w.components - model) / max(1.0, v.diagnostics["weyl_max"])
+            assert v.diagnostics["reconstruction_residual"] == residual
 
 
 class TestClassifyAct:

@@ -207,6 +207,24 @@ class TestDecomposition:
             assert max_abs(rho) <= 1e-10
             assert abs(tau) <= 1e-10
 
+    @pytest.mark.parametrize("m", [3, 4, 7, 12, 24])
+    def test_weyl_part_is_r_minus_the_trace_parts(self, m):
+        # W is formed as A - K (x) g in one array; the three-part formula
+        # R - c1 tau R0 - c2 L is the reference, in Euclidean and in
+        # general frames.
+        rng = np.random.default_rng(m)
+        a = random_act(m, m)
+        b = rng.standard_normal((m, m)) / np.sqrt(m) + np.eye(m)
+        c1, c2 = weyl_constants(m)
+        for r in (a, transform_tensor(a, b)):
+            dec = weyl_decompose(r)
+            expect = (
+                r.components
+                - c1 * dec.tau * r0(r.metric).components
+                - c2 * l_tensor(dec.ricci, r.metric).components
+            )
+            assert max_abs(dec.w.components - expect) <= 1e-14 * max_abs(r)
+
     def test_reconstruction(self):
         for seed, m in ((0, 4), (1, 5), (2, 7)):
             dec = weyl_decompose(random_act(seed, m))

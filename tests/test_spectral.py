@@ -15,12 +15,17 @@ from weylgeom import tiers
 from weylgeom.models import standard_phi
 from weylgeom.spectral import (
     SpectralProfile,
+    _jacobi_stack,
+    _structured_index,
+    _structured_jacobi,
     complement_basis,
+    direction_spectra,
     jacobi_operator,
     osserman_test,
     reduced_jacobi,
     spectral_profile,
     structured_directions,
+    structured_spectra,
     trace_check,
     unit_directions,
 )
@@ -31,6 +36,22 @@ def basis_vector(m, i):
     x = np.zeros(m)
     x[i] = 1.0
     return x
+
+
+def structured_directions_by_loop(m):
+    """The structured direction set as a loop over pairs, the reference
+    for the vectorized build."""
+    dirs = [np.eye(m)[i] for i in range(m)]
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for i in range(m):
+        for j in range(i + 1, m):
+            e = np.zeros(m)
+            e[i] = inv_sqrt2
+            e[j] = inv_sqrt2
+            dirs.append(e.copy())
+            e[j] = -inv_sqrt2
+            dirs.append(e)
+    return np.array(dirs)
 
 
 def reduced_jacobi_by_formula(a, x):
@@ -157,6 +178,10 @@ class TestSpectralProfile:
 
 
 class TestDirectionSampling:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 10, 16, 24])
+    def test_structured_matches_the_loop(self, m):
+        assert np.array_equal(structured_directions(m), structured_directions_by_loop(m))
+
     def test_structured_count_and_norms(self):
         for m in (3, 4, 6):
             dirs = structured_directions(m)
@@ -215,6 +240,27 @@ class TestBatchedSpectra:
         assert max_abs(rep.spectra - expect) <= 1e-12 * max(1.0, max_abs(expect))
         public = np.array([np.linalg.eigvalsh(reduced_jacobi(a, x)) for x in dirs])
         assert max_abs(rep.spectra - public) <= 1e-12 * max(1.0, max_abs(expect))
+
+    @pytest.mark.parametrize("m", [4, 5, 8, 10, 16, 24])
+    def test_structured_operators_match_the_general_product(self, m):
+        # J((e_i + s e_j)/sqrt2) read off slices of the tensor against the
+        # product over all of it with x x^T; the two differ by roundoff in
+        # the 1/sqrt2 weights.
+        a = random_act(m, m).components
+        i, j, s = _structured_index(m)
+        got = _structured_jacobi(a.reshape(m, m * m, m), i, j, s)
+        expect = _jacobi_stack(a, structured_directions(m))
+        assert max_abs(got - expect) <= 1e-15 * max_abs(a)
+        # An axis row is the slice T_ii itself, with no roundoff at all.
+        assert np.array_equal(got[:m], expect[:m])
+
+    @pytest.mark.parametrize("m", [4, 9, 12])
+    def test_structured_spectra_match_direction_spectra(self, m):
+        a = weyl_decompose(random_act(m + 1, m)).w
+        got = structured_spectra(a)
+        expect = direction_spectra(a, structured_directions(m))
+        assert got.shape == (m * m, m - 1)
+        assert max_abs(got - expect) <= 1e-13 * max(1.0, max_abs(expect))
 
     def test_asymmetric_row_in_second_block_raises(self):
         # The defect only shows in directions with both x_8 and x_9

@@ -89,8 +89,62 @@ class TestCurvatureTensor:
         with pytest.raises(ValueError):
             a.components[0, 0, 0, 0] = 1.0
 
+    def test_rejects_non_finite(self):
+        g = InnerProduct.euclidean(4)
+        for bad in (np.nan, np.inf, -np.inf):
+            c = np.zeros((4, 4, 4, 4))
+            c[1, 2, 3, 0] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                CurvatureTensor(c, g)
+
+    def test_components_are_c_contiguous(self):
+        # An einsum output keeps its own strides; the stored copy does not.
+        e = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 5))
+        comps = np.einsum("li,kj->ijkl", e, e)
+        a = CurvatureTensor(comps, InnerProduct.euclidean(5))
+        assert a.components.flags.c_contiguous
+        assert np.array_equal(a.components, comps)
+
+
+class TestMaxAbs:
+    def test_zeros_of_either_sign_give_plus_zero(self):
+        for zero in (0.0, -0.0):
+            got = max_abs(np.full((3, 4), zero))
+            assert got == 0.0 and not np.signbit(got)
+
+    def test_nan_anywhere_gives_nan(self):
+        for where in (0, 5, 11):
+            a = np.arange(12.0) - 6.0
+            a[where] = np.nan
+            assert np.isnan(max_abs(a))
+
+    def test_largest_magnitude_of_either_sign(self):
+        assert max_abs(np.array([1.0, -7.5, 3.0])) == 7.5
+        assert max_abs(np.array([[2.0, 9.25], [-1.0, 0.0]])) == 9.25
+        assert max_abs(np.zeros(0)) == 0.0
+
+
+def symmetry_residual_reference(a):
+    """The residual formed with a fresh array per term, as it was before
+    the shared buffer."""
+    c = a.components
+    res = float(np.max(np.abs(c + np.swapaxes(c, 0, 1))))
+    res = max(res, float(np.max(np.abs(c + np.swapaxes(c, 2, 3)))))
+    res = max(res, float(np.max(np.abs(c - np.transpose(c, (2, 3, 0, 1))))))
+    cyclic = c + np.transpose(c, (2, 0, 1, 3)) + np.transpose(c, (1, 2, 0, 3))
+    return max(res, float(np.max(np.abs(cyclic))))
+
 
 class TestSymmetryResidual:
+    def test_bit_identical_to_the_reference(self):
+        rng = np.random.default_rng(5)
+        for m in (3, 4, 7, 12):
+            g = InnerProduct(random_spd(m, m))
+            noise = rng.standard_normal((m,) * 4)
+            for comps in (r0(g).components, r0(g).components + 1e-9 * noise, noise):
+                a = CurvatureTensor(comps, g)
+                assert symmetry_residual(a) == symmetry_residual_reference(a)
+
     def test_r0_is_exact(self):
         assert symmetry_residual(r0(InnerProduct.euclidean(3))) == 0.0
 
@@ -194,6 +248,13 @@ class TestHermitianStructure:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             HermitianStructure(np.zeros((3, 3)))
+
+    def test_rejects_non_finite(self):
+        mat = standard_phi(4).matrix.copy()
+        mat[2, 3] = np.inf
+        for bad in (np.full((4, 4), np.nan), mat):
+            with pytest.raises(ValueError, match="non-finite"):
+                HermitianStructure(bad)
 
     def test_corrupted_structure_fails_validate(self):
         mat = standard_phi(4).matrix.copy()
