@@ -4,7 +4,9 @@ its covariant derivative, Bianchi residuals, and conformal rescaling.
 A chart supplies the metric as a function of coordinates, optionally
 with analytic first and second derivative callbacks.  Without both,
 one fourth order stencil on the metric, of reach h^(1/2)/4 for h =
-fd_step, gives the metric and its first and second derivatives, and one
+fd_step, gives the metric and its first and second derivatives: along
+each axis, and for a mixed derivative d_a d_b along the two diagonals
+e_a + e_b and e_a - e_b, 1 + 4m^2 metric points in all.  One
 curvature formula serves both modes; the covariant derivative of the
 curvature differences the jet, d2g and the Christoffel symbols, at twice
 that reach and joins the differences by the product rule.  The reaches,
@@ -221,7 +223,9 @@ def _positive_definite(g: np.ndarray) -> bool:
 # One block of the nabla R pass holds whole derivative axes, four
 # stencil points each, and at most this many floats of per-point
 # temporaries, but at least one axis: the jet's m^4 d2g for an analytic
-# chart, the metric values at the point's _jet_stencil otherwise.
+# chart, the (1 + 4m^2) m^2 metric values at the point's _jet_stencil
+# otherwise, which give all axes one block at m = 4, blocks of 3 axes at
+# m = 6 and one axis a block from m = 8.
 # Stacking pays while the temporaries stay in cache.  One analytic pass
 # (fubini_study, 2 vCPUs, one BLAS thread, best of 7 in three rounds on a
 # noisy host) in blocks of 1, 2, 4 or 8 axes took 3.3-3.6, 2.3-2.6,
@@ -242,12 +246,13 @@ def _stencil(u: np.ndarray, reach: float) -> np.ndarray:
 
 def _jet_stencil(u: np.ndarray, reach: float) -> np.ndarray:
     """Each point of u, its 4m _stencil points and, for each axis pair
-    a < b, the 16 points u + s e_a + t e_b over the _stencil offsets s, t
-    (s outer): shape (n, m) to (n, 1 + 4m + 8m(m - 1), m)."""
+    a < b, the 8 points u + s (e_a + e_b) and then u + s (e_a - e_b)
+    over the _stencil offsets s: shape (n, m) to (n, 1 + 4m^2, m).  No
+    point moves more than `reach` along any axis."""
     m = u.shape[-1]
     axis = _stencil(np.zeros(m), reach).reshape(m, 4, m)
     a, b = np.triu_indices(m, 1)
-    pairs = axis[a][:, :, None] + axis[b][:, None, :]
+    pairs = np.stack([axis[a] + axis[b], axis[a] - axis[b]], axis=1)
     offsets = np.concatenate([np.zeros((1, m)), axis.reshape(-1, m), pairs.reshape(-1, m)])
     return u[:, None] + offsets
 
@@ -278,11 +283,17 @@ def _metric_jet(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, np.ndar
     callback once and returns the metric validated and both derivatives
     as the callbacks give them; d2g is symmetric in (a, b) by the
     MetricChart contract.  Otherwise one metric call covers the _jet_stencil
-    points at reach step2, and the differences are fourth order: along
-    each axis, and for a != b along b of those along a (B. Fornberg,
-    Math. Comp. 51, 1988).  The points and their axis points are
-    validated; a non-finite metric at a pair point shows as non-finite
-    curvature.
+    points at reach step2, and every difference is a fourth order
+    central one, of four points for a first derivative and five for a
+    second (B. Fornberg, Math. Comp. 51, 1988).  dg and the diagonal of
+    d2g are taken along each axis, and for a != b
+
+        d_a d_b g = (D2(e_a + e_b) - D2(e_a - e_b)) / 4
+
+    with D2(d) the second derivative along d, in which the centre's term
+    cancels, so each pair costs 8 points.  d2g is symmetric in (a, b)
+    bit for bit.  The points and their axis points are validated; a
+    non-finite metric at a pair point shows as non-finite curvature.
     """
     n, m = us.shape
     if chart.analytic:
@@ -301,9 +312,11 @@ def _metric_jet(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, np.ndar
     d2g = np.empty((n, m, m, m, m))
     i, (a, b) = np.arange(m), np.triu_indices(m, 1)
     d2g[:, i, i] = (16.0 * (fp1 + fm1) - fp2 - fm2 - 30.0 * g[:, None]) / (3.0 * h * h)
-    # grid[s, n, pair, t, i, j]: the offset s along a leads.
-    grid = np.moveaxis(values[:, axial:].reshape(n, -1, 4, 4, m, m), 2, 0)
-    d2g[:, a, b] = d2g[:, b, a] = _central(np.moveaxis(_central(grid, h), 2, 0), h)
+    # Per pair, the values along e_a + e_b less those along e_a - e_b,
+    # one per _stencil offset.
+    grid = values[:, axial:].reshape(n, -1, 2, 4, m, m)
+    dp2, dp1, dm1, dm2 = np.moveaxis(grid[:, :, 0] - grid[:, :, 1], 2, 0)
+    d2g[:, a, b] = d2g[:, b, a] = (16.0 * (dp1 + dm1) - dp2 - dm2) / (12.0 * h * h)
     return g, dg, d2g
 
 
@@ -456,7 +469,7 @@ def riemann_with_derivative(
     u = chart.require_interior(u, extent=k3 + 2.0 * chart.step2)
     stencil = _stencil(u, k3)
     _require_distinct(u[None], stencil[None], k3)
-    per_point = m**4 if chart.analytic else (1 + 4 * m + 8 * m * (m - 1)) * m * m
+    per_point = m**4 if chart.analytic else (1 + 4 * m * m) * m * m
     per_block = max(1, _CURVATURE_FLOATS // (4 * per_point))
     weights = _central(np.eye(4), k3)
     out = np.empty((m,) * 5)

@@ -172,10 +172,16 @@ def _projective_family(n: int, sign: float, domain, name: str) -> MetricChart:
     d2p_values = d2p.ravel()[d2p_at]
 
     def metric(u):
+        # (q I - sign P) / q^2 built in place.  Adding all of q I, not
+        # only its diagonal, turns the -0 entries of -sign P into +0.
         v = u @ jmat.T
-        p = _outer(u, u) + _outer(v, v)
         q = (1.0 + sign * _square_norm(u))[..., None, None]
-        return (q * eye - sign * p) / q**2
+        g = _outer(v, v)
+        g += _outer(u, u)
+        g *= -sign
+        g += q * eye
+        g /= q**2
+        return g
 
     def first_order(u):
         """q, dq[a] = d_a q, P and dP[a, i, j] = d_a P_ij, each with the

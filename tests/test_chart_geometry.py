@@ -446,9 +446,78 @@ class TestRiemannAt:
             got, expect = riemann_at(fd, u)[0], riemann_at(chart, u)[0]
             assert max_abs(got.components - expect.components) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "family, fd_step, bound",
+        [
+            ("fubini_study", 1e-3, 3e-8),
+            ("hyperbolic", 1e-3, 1.2e-7),
+            ("fubini_study", 1e-5, 1.8e-8),
+            ("hyperbolic", 1e-5, 4.5e-8),
+        ],
+    )
+    def test_finite_difference_away_from_the_default_step(self, family, fd_step, bound):
+        # m = 8, the points above.  Each bound is 3x the largest
+        # |R_FD - R_analytic| of the tensor-product mixed stencil: 1.0e-8,
+        # 4.0e-8, 5.8e-9 and 1.5e-8 in this order.  The diagonal stencil
+        # reads the same, but 2.1e-8 for fubini_study at fd_step 1e-3,
+        # where truncation, not roundoff, leads.
+        chart = CHART_FAMILIES[family](8)
+        fd = dataclasses.replace(chart, d_metric=None, d2_metric=None, fd_step=fd_step)
+        rng = np.random.default_rng(8)
+        for u in [np.full(8, 0.05), *rng.uniform(-0.1, 0.1, (2, 8))]:
+            got, expect = riemann_at(fd, u)[0], riemann_at(chart, u)[0]
+            assert max_abs(got.components - expect.components) <= bound
+
     def test_near_boundary_rejected(self):
         with pytest.raises(DomainError):
             riemann_at(flat_chart(2), np.array([4.9999999, 0.0]))
+
+
+def quintic_chart(m):
+    """A stacked chart g = I + 0.1 sum_k C_k u^e_k over monomials u^e_k of
+    degree at most 5, every C_k symmetric, with its closed form d2g."""
+    exponents = np.zeros((6, m), dtype=int)
+    exponents[0, [0, 1]] = [3, 2]  # u_0^3 u_1^2
+    exponents[1, [1, 2]] = [2, 2]  # u_1^2 u_2^2
+    exponents[2, [0, 2, 3]] = [1, 1, 3]
+    exponents[3, 3] = 5
+    exponents[4, [1, 3]] = [1, 4]
+    exponents[5, [0, 2]] = [1, 1]
+    c = np.random.default_rng(5).uniform(-1.0, 1.0, (len(exponents), m, m))
+    c = 0.1 * (c + np.swapaxes(c, 1, 2))
+
+    def metric(us):
+        return np.eye(m) + np.einsum("nk,kij->nij", np.prod(us[:, None] ** exponents, axis=-1), c)
+
+    def d2_metric(us):
+        out = np.zeros((len(us), m, m, m, m))
+        for a in range(m):
+            for b in range(m):
+                # d_a d_b u^e = e_a (e_b - delta_ab) u^(e - 1_a - 1_b).
+                factor = exponents[:, a] * (exponents[:, b] - (a == b))
+                lowered = exponents - np.eye(m, dtype=int)[a] - np.eye(m, dtype=int)[b]
+                mono = factor * np.prod(us[:, None] ** np.maximum(lowered, 0), axis=-1)
+                out[:, a, b] = np.einsum("nk,kij->nij", mono, c)
+        return out
+
+    chart = MetricChart(m, metric, Box(-np.ones(m), np.ones(m)), name="quintic", stacked=True)
+    return chart, d2_metric
+
+
+class TestMetricJet:
+    def test_mixed_stencil_is_exact_on_quintics(self):
+        # A fourth order second difference is exact on polynomials of
+        # degree 5, so d2g is the closed form up to roundoff: 4.4e-10
+        # measured, 7.5e-11 off the diagonal (a != b).
+        m = 5
+        chart, d2_metric = quintic_chart(m)
+        us = np.random.default_rng(6).uniform(-0.5, 0.5, (4, m))
+        d2g = _metric_jet(chart, us)[2]
+        expect = d2_metric(us)
+        a, b = np.triu_indices(m, 1)
+        assert max_abs(expect[:, a, b]) > 1e-2
+        assert max_abs(d2g - expect) <= 1e-8 * max(1.0, max_abs(expect))
+        assert np.array_equal(d2g, np.swapaxes(d2g, 1, 2))
 
 
 class TestCallbackCounts:
@@ -472,15 +541,16 @@ class TestCallbackCounts:
         assert calls == {"metric_at": count, "d_metric": count, "d2_metric": count}
 
     @pytest.mark.parametrize(
-        "n, stacked, riemann, bianchi", [(2, True, 1, 1), (2, False, 113, 1921), (4, True, 1, 8)]
+        "n, stacked, riemann, bianchi", [(2, True, 1, 1), (2, False, 65, 1105), (4, True, 1, 8)]
     )
     def test_finite_difference_metric_calls(self, n, stacked, riemann, bianchi):
-        # 1 + 4m + 8m(m - 1) = 113 metric stencil points per curvature
-        # evaluation at m = 4: one call when stacked, one call each
-        # otherwise.  The second Bianchi residual evaluates curvature at
-        # 4m + 1 = 17 points, which share one block and so one call.  At
-        # m = 8 the 481 stencil points put one axis in each block, 8
-        # calls, the point riding with the first.
+        # 1 + 4m^2 = 65 metric stencil points per curvature evaluation at
+        # m = 4 (the point, 4 along each axis, 8 along the diagonals of
+        # each axis pair): one call when stacked, one call each otherwise.
+        # The second Bianchi residual evaluates curvature at 4m + 1 = 17
+        # points, which share one block and so one call.  At m = 8 the
+        # 257 stencil points put one axis in each block, 8 calls, the
+        # point riding with the first.
         fd = dataclasses.replace(
             fubini_study_chart(n), d_metric=None, d2_metric=None, stacked=stacked
         )
@@ -505,7 +575,7 @@ class TestCurvatureBlocks:
     def test_block_layout_leaves_nabla_r(self, chart, monkeypatch):
         m = chart.dim
         u = np.full(m, 0.05)
-        per_point = m**4 if chart.analytic else (1 + 4 * m + 8 * m * (m - 1)) * m * m
+        per_point = m**4 if chart.analytic else (1 + 4 * m * m) * m * m
         runs = []
         # One axis a block, blocks of 3 axes (the last one short), and
         # all axes in one block.
