@@ -17,17 +17,14 @@ given that the spectrum is direction independent:
 
 Direction dependent spectra short circuit to NotConformallyOsserman.
 
-Reconstruction of Phi from B ~ A_Phi uses two component identities in
-an orthonormal frame: B_pqqp = 3 Phi_pq^2 fixes a pivot entry up to
-the (physically meaningless) global sign, B_pqql = -3 Phi_pq Phi_ql
-fills the pivot column, and the polarized Jacobi operator propagates
-the remaining columns: for a != q,
-
-  Phi e_a = (2/3) Jpol(e_q, e_a) Phi e_q,
-  [Jpol(x1, x2)]_{zy} = (B[y,x1,x2,z] + B[y,x2,x1,z]) / 2,
-
-which is sign coherent with the pivot column.  The result is validated
-against B and the almost complex identities before being returned.
+Phi is recovered from B ~ A_Phi by reading B as a symmetric operator on
+2-forms, B2[(ij), (kl)] = B[i, j, k, l] over the pairs i < j.  For
+Phi^2 = -I and m = 2n its spectrum is -(m + 1) once, with the 2-form of
+Phi as the eigenvector, -1 on the n^2 - 1 other 2-forms that commute
+with Phi and +1 on the n(n - 1) that anticommute, so Phi is the
+eigenvector of the lowest eigenvalue, skew by construction.  The result
+is validated against B and the almost complex identities before being
+returned.
 """
 
 from __future__ import annotations
@@ -66,7 +63,6 @@ __all__ = [
     "ToleranceConfig",
     "ChartReport",
     "Eq2aCheck",
-    "DegenerateInputError",
     "ReconstructionFailedError",
     "check_eq2a",
     "recover_phi",
@@ -87,10 +83,6 @@ class VerdictKind(str, Enum):
     NOT_CONFORMALLY_OSSERMAN = "NotConformallyOsserman"
 
 
-class DegenerateInputError(ValueError):
-    """Candidate tensor has no usable pivot component (lambda1 ~ 0)."""
-
-
 class ReconstructionFailedError(ValueError):
     """Candidate tensor is not of the A_Phi form to tolerance."""
 
@@ -101,10 +93,12 @@ class ToleranceConfig:
 
     spec_tol bounds the direction-to-direction spectrum drift accepted
     as constant; flat_tol bounds the Weyl norm accepted as zero;
-    cluster_tol merges eigenvalues; degeneracy_tol guards the pivot in
-    Phi recovery; eq2a_tol and recon_tol gate the structural checks of
-    a complex space form verdict.  Both tiers and the defaults read
-    their values from the tiers table.
+    cluster_tol merges eigenvalues; eq2a_tol and recon_tol gate the
+    structural checks of a complex space form verdict, recon_tol being
+    the one gate of Phi recovery: Phi, the lowest eigenvector of B on
+    2-forms (spectrum -(m + 1) once, -1 and +1 for the rest), must
+    square to -I and rebuild B.  Both tiers and the defaults read their
+    values from the tiers table.
     """
 
     spec_tol: float
@@ -112,7 +106,6 @@ class ToleranceConfig:
     eq2a_tol: float
     recon_tol: float
     cluster_tol: float = tiers.CLUSTER
-    degeneracy_tol: float = tiers.DEGENERACY
 
     @classmethod
     def algebraic(cls) -> "ToleranceConfig":
@@ -156,25 +149,27 @@ def _require_euclidean(a: CurvatureTensor) -> None:
 
 
 def recover_phi(
-    b: CurvatureTensor,
-    degeneracy_tol: float = tiers.DEGENERACY,
-    recon_tol: float = tiers.RECON_ALGEBRAIC,
+    b: CurvatureTensor, recon_tol: float = tiers.RECON_ALGEBRAIC
 ) -> HermitianStructure:
     """Reconstruct Phi from a tensor of the form a_phi(Phi).
 
-    The global sign of Phi is not observable (a_phi is even), so the
-    canonical representative with a positive pivot entry is returned.
-    Raises DegenerateInputError when every pivot component is below the
-    degeneracy threshold and ReconstructionFailedError when the
-    skew-adjointness residual of the raw Phi, or the validated residuals
-    of its skew part, exceed recon_tol.
+    B acting on 2-forms over the pairs i < j has, for B = a_phi(Phi),
+    the spectrum -(m + 1) once and -1 or +1 for the rest; the 2-form of
+    Phi is the eigenvector of -(m + 1).  The global sign of Phi is not
+    observable (a_phi is even), so the canonical representative is
+    returned: the first upper-triangle entry, in row-major order, whose
+    square is within a relative tiers.PIVOT_TIE of the largest is
+    positive.  Raises ReconstructionFailedError when Phi^2 + I or the
+    reconstruction residual against B, relative to max(1, max |B|),
+    exceeds recon_tol: the zero tensor, a sign-flipped a_phi and any
+    tensor off the a_phi form among them.
     """
     _require_euclidean(b)
-    return _recover_phi_model(b.components, b.metric, degeneracy_tol, recon_tol)[0]
+    return _recover_phi_model(b.components, b.metric, recon_tol)[0]
 
 
 def _recover_phi_model(
-    c: np.ndarray, g: InnerProduct, degeneracy_tol: float, recon_tol: float
+    c: np.ndarray, g: InnerProduct, recon_tol: float
 ) -> tuple[HermitianStructure, np.ndarray]:
     """recover_phi on the components c of a tensor over the orthonormal
     metric g, returning Phi together with the components of a_phi(Phi),
@@ -182,52 +177,21 @@ def _recover_phi_model(
     m = c.shape[0]
     if m % 2 != 0:
         raise ValueError(f"even dimension required, got m={m}")
-    scale = max(1.0, max_abs(c))
-
-    # Pivot: diag[p, q] = B_pqqp = 3 Phi_pq^2, maximal over p != q.  The
-    # first entry in row-major order within a relative tiers.PIVOT_TIE of
-    # the maximum is taken, so entries that tie in exact arithmetic (eight
-    # at m = 8 for the standard structure) pick the same pivot, and hence
-    # the same sign of Phi, whatever the roundoff upstream.
-    diag = np.einsum("pqqp->pq", c).copy()
-    np.fill_diagonal(diag, 0.0)
-    mag = np.abs(diag)
-    p, q = np.unravel_index(np.argmax(mag >= (1.0 - tiers.PIVOT_TIE) * mag.max()), diag.shape)
-    pivot = diag[p, q]
-    if abs(pivot) <= degeneracy_tol * scale:
-        raise DegenerateInputError(
-            f"no pivot above {degeneracy_tol:.1e} * scale; tensor is degenerate"
-        )
-    if pivot < 0.0:
-        raise ReconstructionFailedError(
-            f"pivot component B[{p},{q},{q},{p}] = {pivot:.3e} is negative; "
-            "tensor cannot be of the a_phi form"
-        )
-
+    i, j = np.triu_indices(m, 1)
+    v = np.linalg.eigh(c[i, j][:, i, j])[1][:, 0]
+    # The tie band lets entries equal in exact arithmetic (four at m = 8
+    # for the standard structure) fix the same sign whatever the roundoff
+    # upstream.
+    sq = v * v
+    if v[np.argmax(sq >= (1.0 - tiers.PIVOT_TIE) * sq.max())] < 0.0:
+        v = -v
     phi = np.zeros((m, m))
-    phi_pq = np.sqrt(pivot / 3.0)
-    # Column q from B_pqql = -3 Phi_pq Phi_ql = 3 Phi_pq Phi_lq.
-    phi[:, q] = c[p, q, q, :] / (3.0 * phi_pq)
-    # Remaining columns by polarized Jacobi propagation; c[y, q, a, z]
-    # and c[y, a, q, z] reordered to [a, z, y].
-    jpol = 0.5 * (np.einsum("yaz->azy", c[:, q]) + np.einsum("yaz->azy", c[:, :, q]))
-    cols = (2.0 / 3.0) * np.einsum("azy,y->za", jpol, phi[:, q])
-    keep = np.arange(m) != q
-    phi[:, keep] = cols[:, keep]
-
-    # Finite difference curvature leaves Phi skew only to about 1e-7, above
-    # the generator's own guard; the residual is judged against recon_tol
-    # and the skew part carried on.
-    skew = max_abs(phi + phi.T)
-    if not skew <= recon_tol:
-        raise ReconstructionFailedError(
-            f"skew-adjointness residual {skew:.3e} exceeds {recon_tol:.1e}"
-        )
-    phi = 0.5 * (phi - phi.T)
+    phi[i, j] = np.sqrt(m / 2.0) * v
+    phi -= phi.T
     square = max_abs(phi @ phi + np.eye(m))
     model = a_phi(phi, g).components
     recon = max_abs(model - c)
-    if not (square <= recon_tol and recon / scale <= recon_tol):
+    if not (square <= recon_tol and recon / max(1.0, max_abs(c)) <= recon_tol):
         raise ReconstructionFailedError(
             f"validation residuals square={square:.3e} "
             f"reconstruction={recon:.3e} exceed {recon_tol:.1e}"
@@ -374,10 +338,8 @@ def _classify_constant(
         np.subtract(w.components, buf, out=buf)
         buf /= lambda1
         try:
-            phi, a_phi_comps = _recover_phi_model(
-                buf, w.metric, degeneracy_tol=tol.degeneracy_tol, recon_tol=tol.recon_tol
-            )
-        except (DegenerateInputError, ReconstructionFailedError) as exc:
+            phi, a_phi_comps = _recover_phi_model(buf, w.metric, tol.recon_tol)
+        except ReconstructionFailedError as exc:
             warnings.append(f"Hermitian structure recovery failed: {exc}")
             return verdict(VerdictKind.OSSERMAN_OTHER)
         model = np.multiply(r0_comps, lambda0, out=buf)

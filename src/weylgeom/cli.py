@@ -105,7 +105,7 @@ class NumericalError(RuntimeError):
 _TOP_KEYS = {"model", "metric", "points", "samples", "seed", "tolerances", "format", "out"}
 _MODEL_KEYS = {"name", "params"}
 _METRIC_KEYS = {"constant", "linear", "quadratic", "extent"}
-_TOL_KEYS = {"fd_step", "spec_tol", "cluster_tol", "degeneracy_tol"}
+_TOL_KEYS = {"fd_step", "spec_tol", "cluster_tol"}
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,6 @@ class AnalysisConfig:
     fd_step: float | None = None
     spec_tol: float | None = None
     cluster_tol: float = tiers.CLUSTER
-    degeneracy_tol: float = tiers.DEGENERACY
     format: str = "text"
     out: str | None = None
 
@@ -370,10 +369,7 @@ def _apply_fd_step(chart: MetricChart, config: AnalysisConfig) -> MetricChart:
 
 def tolerance_config(config: AnalysisConfig, kind: str) -> ToleranceConfig:
     base = ToleranceConfig.chart() if kind == "chart" else ToleranceConfig.algebraic()
-    overrides = {
-        "cluster_tol": config.cluster_tol,
-        "degeneracy_tol": config.degeneracy_tol,
-    }
+    overrides = {"cluster_tol": config.cluster_tol}
     if config.spec_tol is not None:
         overrides["spec_tol"] = config.spec_tol
     return replace(base, **overrides)
@@ -453,7 +449,6 @@ def _config_echo(config: AnalysisConfig, points: np.ndarray | None) -> dict:
             "fd_step": config.fd_step,
             "spec_tol": config.spec_tol,
             "cluster_tol": config.cluster_tol,
-            "degeneracy_tol": config.degeneracy_tol,
         },
     }
     if config.model is not None:
@@ -588,7 +583,7 @@ def _check(name: str, residual: float, tolerance: float) -> dict:
     }
 
 
-def _verify_act(act: CurvatureTensor, samples: int, seed: int) -> dict:
+def _verify_act(act: CurvatureTensor) -> dict:
     symmetry_tier = tiers.VERIFY_SYMMETRY * max(1.0, act.max_abs())
     checks = [_check("curvature_symmetries", symmetry_residual(act), symmetry_tier)]
     dec = orthonormal_decomposition(act)
@@ -600,7 +595,7 @@ def _verify_act(act: CurvatureTensor, samples: int, seed: int) -> dict:
         )
     )
     trace_tier = tiers.VERIFY_TRACE_ALGEBRAIC * max(1.0, dec.r.max_abs())
-    checks.append(_check("trace_free_jacobi", trace_check(dec.w, samples, seed), trace_tier))
+    checks.append(_check("trace_free_jacobi", trace_check(dec.w), trace_tier))
     return {"checks": checks}
 
 
@@ -618,8 +613,7 @@ def cmd_verify(config: AnalysisConfig) -> tuple[dict, int]:
 
         dec = orthonormal_decomposition(r)
         trace_tier = tiers.VERIFY_TRACE_CHART * max(1.0, dec.r.max_abs())
-        trace = trace_check(dec.w, config.samples, config.seed)
-        checks.append(_check("trace_free_jacobi", trace, trace_tier))
+        checks.append(_check("trace_free_jacobi", trace_check(dec.w), trace_tier))
 
         invariance = max_abs(_weyl13(r) - _weyl13(riemann_at(scaled, u)[0]))
         checks.append(_check("conformal_invariance", invariance, tiers.VERIFY_CONFORMAL))
@@ -632,10 +626,7 @@ def cmd_verify(config: AnalysisConfig) -> tuple[dict, int]:
             checks.append(_check("parallel_structure", max_abs(nabla), tiers.VERIFY_KAHLER))
         return {"checks": checks}
 
-    points, records = _records(
-        config, kind, target, name,
-        lambda act: _verify_act(act, config.samples, config.seed), at_point,
-    )
+    points, records = _records(config, kind, target, name, _verify_act, at_point)
     failed = sum(1 for rec in records for c in rec["checks"] if not c["passed"])
     total = sum(len(rec["checks"]) for rec in records)
     report = _wrap_report(

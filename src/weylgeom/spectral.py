@@ -299,20 +299,18 @@ def unit_directions(m: int, n: int, seed: int) -> np.ndarray:
     return np.vstack([structured_directions(m), _random_directions(m, n, seed)])
 
 
-def trace_check(
-    a: CurvatureTensor, samples: int = DEFAULT_SAMPLES, seed: int = 0
-) -> float:
-    """Max |Tr J(x)| over sampled unit directions.
+def trace_check(a: CurvatureTensor) -> float:
+    """Max |Tr J(x)| over all unit directions x.
 
     The trace equals the Ricci quadratic form in direction x, so the
     conformal part of any decomposition drives this to roundoff while a
     generic tensor reports its Ricci size.
     """
     _require_orthonormal(a)
-    # Tr J(x) = x^T T x with T_ab = sum_y A_yaby.
+    # Tr J(x) = x^T T x with T_ab = sum_y A_yaby; its maximum modulus over
+    # unit x is the spectral radius of the symmetric part of T.
     t = np.einsum("yaby->ab", a.components)
-    dirs = unit_directions(a.dim, samples, seed)
-    return float(np.max(np.abs(np.einsum("na,ab,nb->n", dirs, t, dirs))))
+    return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (t + t.T)))))
 
 
 def osserman_test(

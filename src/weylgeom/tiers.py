@@ -12,9 +12,9 @@ at their use site, as the comment on each entry says.
 Groups:
 
 * Classification gates: the algebraic and chart tiers of
-  classifier.ToleranceConfig, and the keyword defaults of the functions
+  classifier.ToleranceConfig, the keyword defaults of the functions
   that apply them (osserman_test, check_eq2a, recover_phi,
-  cluster_spectrum and its callers).
+  cluster_spectrum and its callers), and the sign rule of recover_phi.
 * Verify tiers: the residual bounds of the verify subcommand.
 * Input guards: the checks that reject a malformed input before any
   verdict is computed.
@@ -42,8 +42,8 @@ FLAT_CHART = 1e-5
 EQ2A_ALGEBRAIC = 1e-8
 EQ2A_CHART = 1e-4
 
-# Phi recovery: skew-adjointness of the raw Phi, Phi^2 + I, and the
-# reconstruction residual relative to max(1, max |B|).
+# Phi recovery: Phi^2 + I, and the reconstruction residual relative to
+# max(1, max |B|).
 RECON_ALGEBRAIC = 1e-8
 RECON_CHART = 1e-6
 
@@ -55,10 +55,9 @@ CLUSTER = 1e-3
 # which the flat verdict warns that a split may hide below the resolution.
 NEAR_DEGENERATE = 0.5
 
-# Smallest Phi recovery pivot B_pqqp, relative to max(1, max |B|).
-DEGENERACY = 1e-3
-
-# Relative band below the largest pivot whose entries count as tied.
+# Phi recovery's sign rule: relative band below the largest squared entry
+# of the lowest 2-form eigenvector within which entries count as tied,
+# the first of them in row-major order being made positive.
 PIVOT_TIE = 1e-8
 
 # --------------------------------------------------------------------------
@@ -68,7 +67,7 @@ PIVOT_TIE = 1e-8
 VERIFY_BIANCHI_ANALYTIC = 1e-7
 VERIFY_BIANCHI_FD = 1e-4
 
-# Max |Tr J(x)| of the Weyl part over sampled directions, relative to
+# Max |Tr J(x)| of the Weyl part over all unit directions, relative to
 # max(1, max |A|) of the decomposed tensor.
 VERIFY_TRACE_ALGEBRAIC = 1e-9
 VERIFY_TRACE_CHART = 1e-5

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from weylgeom import tiers
 from weylgeom.classifier import (
     ChartReport,
-    DegenerateInputError,
     ReconstructionFailedError,
     ToleranceConfig,
     VerdictKind,
@@ -93,8 +93,8 @@ class TestRecoverPhi:
             assert structure_distance(rec.matrix, phi.matrix) <= 1e-12
 
     def test_canonical_sign(self):
-        # Both signs generate the same tensor; the pivot entry of the
-        # returned representative is positive.
+        # Both signs generate the same tensor; the first largest entry of
+        # the returned representative's upper triangle is positive.
         g = InnerProduct.euclidean(6)
         phi = standard_phi(6)
         rec_pos = recover_phi(a_phi(phi, g))
@@ -113,8 +113,8 @@ class TestRecoverPhi:
                 assert structure_distance(rec.matrix, phi) <= 1e-10
 
     def test_canonical_sign_survives_roundoff(self):
-        # Eight pivot candidates equal 3 exactly; noise of a few ulps must
-        # not move the pivot to one that carries the opposite sign.
+        # Four upper-triangle entries of Phi tie exactly; noise of a few
+        # ulps must not move the sign to one of the others.
         g = InnerProduct.euclidean(8)
         clean = a_phi(standard_phi(8), g)
         rng = np.random.default_rng(2)
@@ -123,11 +123,11 @@ class TestRecoverPhi:
         assert max_abs(noisy.matrix - recover_phi(clean).matrix) <= 1e-12
 
     def test_skew_residual_above_tolerance(self):
-        # A candidate 1e-6 off the a_phi form leaves Phi about 5e-7 from
-        # skew; the failure is the typed one, not the generator's guard.
+        # A candidate 1e-6 off the a_phi form fails the validation at
+        # 1e-8 with the typed error and passes it at 1e-4.
         g = InnerProduct.euclidean(8)
         noisy = a_phi(standard_phi(8), g).components + 1e-6 * random_act(3, 8).components
-        with pytest.raises(ReconstructionFailedError, match="skew"):
+        with pytest.raises(ReconstructionFailedError, match="validation residuals"):
             recover_phi(CurvatureTensor(noisy, g), recon_tol=1e-8)
         recover_phi(CurvatureTensor(noisy, g), recon_tol=1e-4)
 
@@ -138,13 +138,13 @@ class TestRecoverPhi:
 
     def test_degenerate_input(self):
         g = InnerProduct.euclidean(6)
-        with pytest.raises(DegenerateInputError, match="degenerate"):
+        with pytest.raises(ReconstructionFailedError, match="validation residuals"):
             recover_phi(CurvatureTensor(np.zeros((6,) * 4), g))
 
     def test_wrong_sign_input(self):
         g = InnerProduct.euclidean(6)
         flipped = CurvatureTensor(-a_phi(standard_phi(6), g).components, g)
-        with pytest.raises(ReconstructionFailedError, match="negative"):
+        with pytest.raises(ReconstructionFailedError, match="validation residuals"):
             recover_phi(flipped)
 
     def test_odd_dimension_rejected(self):
@@ -156,6 +156,63 @@ class TestRecoverPhi:
         g = InnerProduct(2.0 * np.eye(6))
         with pytest.raises(ValueError, match="orthonormal"):
             recover_phi(CurvatureTensor(np.zeros((6,) * 4), g))
+
+
+def pivot_recovery(c):
+    """The pivot-and-propagation recovery of Phi from B ~ a_phi(Phi), kept
+    as the reference for recover_phi: B_pqqp = 3 Phi_pq^2 fixes a pivot
+    (the first in row-major order within PIVOT_TIE of the largest, made
+    positive), B_pqql = 3 Phi_pq Phi_lq fills its column, and the
+    polarized Jacobi operator Phi e_a = (2/3) Jpol(e_q, e_a) Phi e_q, with
+    [Jpol(x1, x2)]_zy = (B[y,x1,x2,z] + B[y,x2,x1,z]) / 2, the rest."""
+    m = c.shape[0]
+    diag = np.einsum("pqqp->pq", c).copy()
+    np.fill_diagonal(diag, 0.0)
+    mag = np.abs(diag)
+    p, q = np.unravel_index(np.argmax(mag >= (1.0 - tiers.PIVOT_TIE) * mag.max()), diag.shape)
+    assert diag[p, q] > 0.0
+    phi = np.zeros((m, m))
+    phi_pq = np.sqrt(diag[p, q] / 3.0)
+    phi[:, q] = c[p, q, q, :] / (3.0 * phi_pq)
+    jpol = 0.5 * (np.einsum("yaz->azy", c[:, q]) + np.einsum("yaz->azy", c[:, :, q]))
+    cols = (2.0 / 3.0) * np.einsum("azy,y->za", jpol, phi[:, q])
+    keep = np.arange(m) != q
+    phi[:, keep] = cols[:, keep]
+    return 0.5 * (phi - phi.T)
+
+
+class TestRecoverPhiReference:
+    """recover_phi against the pivot-and-propagation reference, and FD
+    charts against their analytic twins; both compare signed matrices."""
+
+    @pytest.mark.parametrize("m", [6, 8, 10, 16, 24])
+    def test_matches_pivot_recovery_on_rotations(self, m):
+        g = InnerProduct.euclidean(m)
+        base = standard_phi(m).matrix
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            q, _r = np.linalg.qr(rng.standard_normal((m, m)))
+            b = a_phi(q.T @ base @ q, g)
+            assert max_abs(recover_phi(b).matrix - pivot_recovery(b.components)) <= 1e-13
+
+    def test_matches_pivot_recovery_under_roundoff(self):
+        g = InnerProduct.euclidean(8)
+        clean = a_phi(standard_phi(8), g).components
+        noisy = clean + np.random.default_rng(2).uniform(-1e-15, 1e-15, clean.shape)
+        got = recover_phi(CurvatureTensor(noisy, g)).matrix
+        assert max_abs(got - pivot_recovery(noisy)) <= 1e-13
+        assert max_abs(got - pivot_recovery(clean)) <= 1e-13
+
+    @pytest.mark.parametrize("builder", [fubini_study_chart, complex_hyperbolic_chart])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_finite_difference_matches_analytic(self, builder, n):
+        analytic = builder(n)
+        fd = replace(analytic, d_metric=None, d2_metric=None)
+        pts = default_probe_points(analytic)
+        for exact, approx in zip(
+            classify_chart(analytic, pts).verdicts, classify_chart(fd, pts).verdicts
+        ):
+            assert max_abs(approx.phi.matrix - exact.phi.matrix) <= 1e-8
 
 
 class TestConsensusProfile:
@@ -296,7 +353,7 @@ class TestClassifyAct:
         a = CurvatureTensor(base.components + 1e-6 * random_act(3, 8).components, base.metric)
         v = classify_act(a, tol)
         assert v.kind is VerdictKind.OSSERMAN_OTHER
-        assert any("skew-adjointness residual" in w for w in v.warnings)
+        assert any("recovery failed: validation residuals" in w for w in v.warnings)
 
     @pytest.mark.parametrize("lam", [1e9, 1e11])
     def test_osserman_gate_is_relative_to_the_spectrum(self, lam):

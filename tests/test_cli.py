@@ -44,19 +44,21 @@ class TestConfigParsing:
         assert code == 2
         assert "'m'" in err
 
-    def test_unknown_tolerance_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["nope", "degeneracy_tol"])
+    def test_unknown_tolerance_key(self, tmp_path, capsys, key):
+        # degeneracy_tol is a removed key; a config still carrying it fails.
         cfg = tmp_path / "c.json"
         cfg.write_text(
             json.dumps(
                 {
                     "model": {"name": "flat", "params": {"m": 3}},
-                    "tolerances": {"nope": 1.0},
+                    "tolerances": {key: 1e-3},
                 }
             )
         )
         code, _, err = run(capsys, "analyze", str(cfg))
         assert code == 2
-        assert "nope" in err
+        assert key in err
 
     def test_model_and_metric_exclusive(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -278,13 +278,20 @@ class TestBatchedSpectra:
             osserman_test(a, samples=8)
 
     def test_trace_check_matches_per_direction_trace(self):
+        # The exact maximum bounds every sampled |x^T T x| and is attained
+        # at the top eigenvector of the symmetric part of T.
         for seed, m in ((0, 6), (3, 10)):
             a = random_act(seed, m)
-            expect = max(
-                abs(np.einsum("yaby,a,b->", a.components, x, x))
-                for x in unit_directions(m, 40, seed=2)
+            exact = trace_check(a)
+            sampled = np.abs(
+                np.einsum("yaby,na,nb->n", a.components, *2 * (unit_directions(m, 40, seed=2),))
             )
-            assert abs(trace_check(a, samples=40, seed=2) - expect) <= 1e-12 * max(1.0, expect)
+            assert np.all(sampled <= exact * (1.0 + 1e-12))
+            t = np.einsum("yaby->ab", a.components)
+            vals, vecs = np.linalg.eigh(0.5 * (t + t.T))
+            top = vecs[:, np.argmax(np.abs(vals))]
+            attained = abs(np.einsum("yaby,a,b->", a.components, top, top))
+            assert abs(exact - attained) <= 1e-12 * max(1.0, exact)
 
 
 class TestOssermanTest:

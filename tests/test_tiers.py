@@ -22,7 +22,6 @@ PINNED = {
     "RECON_CHART": 1e-6,
     "CLUSTER": 1e-3,
     "NEAR_DEGENERATE": 0.5,
-    "DEGENERACY": 1e-3,
     "PIVOT_TIE": 1e-8,
     "VERIFY_BIANCHI_ANALYTIC": 1e-7,
     "VERIFY_BIANCHI_FD": 1e-4,
@@ -99,6 +98,21 @@ def test_configs_read_the_table():
         assert (tol.spec_tol, tol.flat_tol, tol.eq2a_tol, tol.recon_tol) == tuple(
             getattr(tiers, f"{gate}_{tier}") for gate in ("SPEC", "FLAT", "EQ2A", "RECON")
         )
-        assert (tol.cluster_tol, tol.degeneracy_tol) == (tiers.CLUSTER, tiers.DEGENERACY)
-    config = cli.AnalysisConfig()
-    assert (config.cluster_tol, config.degeneracy_tol) == (tiers.CLUSTER, tiers.DEGENERACY)
+        assert tol.cluster_tol == tiers.CLUSTER
+    assert cli.AnalysisConfig().cluster_tol == tiers.CLUSTER
+
+
+def test_every_entry_is_read():
+    # A threshold no module reads is dead; removing its last reader must
+    # remove the entry too.  A mention in a docstring is not a read.
+    read = {
+        node.attr
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "tiers.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "tiers"
+    }
+    table = {name for name in vars(tiers) if not name.startswith("_")}
+    assert sorted(table - read) == []
