@@ -9,22 +9,23 @@ import numpy as np
 
 from weylgeom import (
     InnerProduct,
+    cluster_spectrum,
     complex_space_form_act,
+    direction_spectra,
     osserman_test,
     r0,
     random_act,
-    reduced_jacobi,
-    spectral_profile,
     standard_phi,
     unit_directions,
     weyl_decompose,
 )
 
 # For the sphere generator every reduced Jacobi operator is the identity
-# on the direction's orthogonal complement.
+# on the direction's orthogonal complement.  direction_spectra solves a
+# batch of unit rows; a single direction is a batch of one.
 g = InnerProduct.euclidean(5)
 x = unit_directions(5, 1, seed=0)[-1]
-eig = np.linalg.eigvalsh(reduced_jacobi(r0(g), x))
+eig = direction_spectra(r0(g), x[None])[0]
 print("sphere generator, random direction")
 print("  reduced spectrum:", np.round(eig, 12))
 
@@ -32,7 +33,7 @@ print("  reduced spectrum:", np.round(eig, 12))
 # with multiplicities (m-2, 1); the profile clusters it automatically.
 w = weyl_decompose(complex_space_form_act(1.0, 1.0, standard_phi(8))).w
 x8 = unit_directions(8, 1, seed=1)[-1]
-profile = spectral_profile(reduced_jacobi(w, x8))
+profile = cluster_spectrum(direction_spectra(w, x8[None])[0])
 print("\ncomplex space form Weyl part, m=8")
 for value, mult in profile.clusters:
     print(f"  eigenvalue {value:+.9f}  multiplicity {mult}")

@@ -44,8 +44,6 @@ from .spectral import (
     SpectralProfile,
     cluster_spectrum,
     osserman_test,
-    structured_directions,
-    structured_spectra,
 )
 from .tensor_core import (
     CurvatureTensor,
@@ -66,7 +64,6 @@ __all__ = [
     "ReconstructionFailedError",
     "check_eq2a",
     "recover_phi",
-    "consensus_profile",
     "classify_point",
     "orthonormal_decomposition",
     "analyze_point",
@@ -218,24 +215,9 @@ class Verdict:
     warnings: tuple[str, ...] = ()
 
 
-def consensus_profile(
-    w: CurvatureTensor, cluster_tol: float = tiers.CLUSTER
-) -> tuple[SpectralProfile, np.ndarray]:
-    """Modal spectral profile over the structured direction set.
-
-    Profiles are grouped by their multiplicity signature; the winner is
-    the most frequent signature, ties broken by the earliest direction
-    in the deterministic enumeration.  Returns the representative
-    profile and the direction it came from.
-    """
-    _require_euclidean(w)
-    profile, i = _modal_profile(structured_spectra(w), cluster_tol)
-    return profile, structured_directions(w.dim)[i]
-
-
-def _modal_profile(rows: np.ndarray, cluster_tol: float) -> tuple[SpectralProfile, int]:
+def _modal_profile(rows: np.ndarray, cluster_tol: float) -> SpectralProfile:
     """Clustered profile of the first row whose multiplicity signature
-    is the most frequent one, and that row's index.
+    is the most frequent one.
 
     A row's signature is fixed by where its ascending eigenvalues break
     into clusters (gaps over cluster_tol * max(1, max |row|), as in
@@ -244,8 +226,7 @@ def _modal_profile(rows: np.ndarray, cluster_tol: float) -> tuple[SpectralProfil
     scale = np.maximum(1.0, np.abs(rows).max(axis=1, initial=0.0))
     breaks = np.diff(rows, axis=1) > cluster_tol * scale[:, None]
     _, first, counts = np.unique(breaks, axis=0, return_index=True, return_counts=True)
-    i = int(first[counts == counts.max()].min())
-    return cluster_spectrum(rows[i], cluster_tol), i
+    return cluster_spectrum(rows[first[counts == counts.max()].min()], cluster_tol)
 
 
 def parity_consistency(m: int, profile: SpectralProfile, verdict: Verdict) -> list[str]:
@@ -420,8 +401,10 @@ def analyze_point(
 ) -> PointAnalysis:
     """Full pipeline for one curvature tensor, each direction solved once.
 
-    The consensus profile is the modal vote of consensus_profile taken
-    over the structured-direction rows of the constancy test's spectra.
+    The consensus profile is a vote over the structured-direction rows of
+    the constancy test's spectra: rows are grouped by their multiplicity
+    signature, and the profile is that of the earliest row with the most
+    frequent signature.
     """
     tol = tol or ToleranceConfig.algebraic()
     dec = orthonormal_decomposition(a)
@@ -429,7 +412,7 @@ def analyze_point(
     report = osserman_test(w, samples=samples, seed=seed, spec_tol=tol.spec_tol)
     # The structured directions lead the rows: m axes and m(m - 1) pairs.
     rows = report.spectra[: w.dim**2]
-    profile, _ = _modal_profile(rows, tol.cluster_tol)
+    profile = _modal_profile(rows, tol.cluster_tol)
     verdict = classify_point(w, profile, report, w.dim, tol=tol)
     return PointAnalysis(dec, report, profile, verdict)
 

@@ -226,8 +226,8 @@ def config_from_mapping(data: dict) -> AnalysisConfig:
         kwargs["points"] = _parse_points(data["points"])
     if "samples" in data:
         samples = _as_int(data["samples"], "samples")
-        if samples < 2:
-            raise ConfigError(f"samples must be at least 2, got {samples}")
+        if not 2 <= samples <= tiers.MAX_SAMPLES:
+            raise ConfigError(f"samples must be 2 to {tiers.MAX_SAMPLES}, got {samples}")
         kwargs["samples"] = samples
     if "seed" in data:
         seed = _as_int(data["seed"], "seed")

@@ -24,12 +24,8 @@ from .tensor_core import CurvatureTensor
 __all__ = [
     "SpectralProfile",
     "OssermanReport",
-    "jacobi_operator",
-    "complement_basis",
-    "reduced_jacobi",
     "direction_spectra",
     "structured_spectra",
-    "spectral_profile",
     "cluster_spectrum",
     "unit_directions",
     "structured_directions",
@@ -107,16 +103,6 @@ def _jacobi_stack(comps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return np.transpose(xx @ comps.reshape(m, m * m, m), (1, 2, 0))
 
 
-def jacobi_operator(a: CurvatureTensor, x: np.ndarray) -> np.ndarray:
-    """Matrix of y -> A(y, x, x, .) in the orthonormal frame.
-
-    Self adjoint for any algebraic curvature tensor; quadratic in x, so
-    non-unit x is allowed (the constancy test normalizes upstream).
-    """
-    _require_orthonormal(a)
-    return _jacobi_stack(a.components, np.asarray(x, dtype=float)[None, :])[0]
-
-
 def _complement_bases(dirs: np.ndarray) -> np.ndarray:
     """Householder complements of unit rows, shape (n, m, m - 1)."""
     m = dirs.shape[1]
@@ -128,15 +114,6 @@ def _complement_bases(dirs: np.ndarray) -> np.ndarray:
     return h[:, :, 1:]
 
 
-def complement_basis(x: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to unit x.
-
-    Columns of the returned (m, m-1) matrix; built from a Householder
-    reflection, hence deterministic and smooth away from the pole.
-    """
-    return _complement_bases(np.asarray(x, dtype=float)[None, :])[0]
-
-
 def _reduce(jac: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Jacobi operators jac of the unit rows of dirs compressed to their
     Householder complements, (n, m-1, m-1)."""
@@ -146,13 +123,6 @@ def _reduce(jac: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         raise ValueError(f"direction must be unit length, got |x| = {float(nrm[bad[0]])!r}")
     p = _complement_bases(dirs)
     return np.swapaxes(p, 1, 2) @ jac @ p
-
-
-def reduced_jacobi(a: CurvatureTensor, x: np.ndarray) -> np.ndarray:
-    """Jacobi operator restricted to the complement of unit x."""
-    _require_orthonormal(a)
-    x = np.asarray(x, dtype=float)[None, :]
-    return _reduce(_jacobi_stack(a.components, x), x)[0]
 
 
 def _spectra(dirs: np.ndarray, jacobi) -> np.ndarray:
@@ -269,11 +239,6 @@ def cluster_spectrum(eig: np.ndarray, cluster_tol: float = tiers.CLUSTER) -> Spe
             spread = max(spread, float(members[-1] - members[0]))
             start = i
     return SpectralProfile(tuple(clusters), spread, dim=len(eig) + 1)
-
-
-def spectral_profile(mat: np.ndarray, cluster_tol: float = tiers.CLUSTER) -> SpectralProfile:
-    """Clustered spectrum of a self adjoint matrix (see cluster_spectrum)."""
-    return cluster_spectrum(_self_adjoint_eigvalsh(mat), cluster_tol)
 
 
 def structured_directions(m: int) -> np.ndarray:

@@ -108,8 +108,8 @@ class HermitianStructure:
     Invariants (relative to a metric g, checked by :meth:`validate`):
     ``Phi^2 = -I``, skew-adjointness ``g Phi = -Phi^T g`` and
     orthogonality ``Phi^T g Phi = g``.  Skewness plus ``Phi^2 = -I``
-    already force orthogonality; all three residuals are still reported
-    because downstream recovery code degrades them independently.
+    already force orthogonality; all three residuals are still reported,
+    so a structure built outside the package shows which one it breaks.
     """
 
     matrix: np.ndarray

@@ -4,6 +4,7 @@ The classifier consumes Weyl parts only; every entry point is expected
 to absorb frame changes and overall metric scale on its own.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,6 @@ from weylgeom.classifier import (
     classify_act,
     classify_chart,
     classify_point,
-    consensus_profile,
     parity_consistency,
     recover_phi,
 )
@@ -47,7 +47,6 @@ from weylgeom.spectral import (
     cluster_spectrum,
     direction_spectra,
     osserman_test,
-    structured_directions,
     unit_directions,
 )
 from weylgeom.tensor_core import (
@@ -215,16 +214,23 @@ class TestRecoverPhiReference:
             assert max_abs(approx.phi.matrix - exact.phi.matrix) <= 1e-8
 
 
+def modal_row(rows, cluster_tol=tiers.CLUSTER):
+    """Index of the earliest row whose multiplicity signature is the most
+    frequent one, one clustered row at a time: the reference for the
+    consensus vote of analyze_point."""
+    signatures = [cluster_spectrum(row, cluster_tol).multiplicities for row in rows]
+    counts = Counter(signatures)
+    top = max(counts.values())
+    return next(i for i, sig in enumerate(signatures) if counts[sig] == top)
+
+
 class TestConsensusProfile:
     def test_space_form_weyl_is_flat_profile(self):
-        w = weyl_decompose(r0(InnerProduct.euclidean(6))).w
-        profile, direction = consensus_profile(w)
+        profile = analyze_point(r0(InnerProduct.euclidean(6))).profile
         assert profile.clusters == ((0.0, 5),)
-        assert_allclose(np.linalg.norm(direction), 1.0)
 
     def test_complex_space_form_weyl(self):
-        w = weyl_decompose(complex_space_form_act(1.0, 1.0, standard_phi(8))).w
-        profile, _ = consensus_profile(w)
+        profile = analyze_point(complex_space_form_act(1.0, 1.0, standard_phi(8))).profile
         assert profile.multiplicities == (6, 1)
         assert_allclose(profile.values[0], -3.0 / 7.0, atol=1e-12)
         assert_allclose(profile.values[1], 18.0 / 7.0, atol=1e-12)
@@ -294,9 +300,9 @@ class TestScreenTensors:
         expect = direction_spectra(w, unit_directions(m, 64, seed=0))
         scale = max(1.0, max_abs(expect))
         assert max_abs(analysis.osserman.spectra - expect) <= 1e-13 * scale
-        profile, direction = consensus_profile(w)
-        assert profile == analysis.profile
-        row = np.flatnonzero((structured_directions(m) == direction).all(axis=1))[0]
+        profile = analysis.profile
+        row = modal_row(expect[: m * m])
+        assert profile == cluster_spectrum(analysis.osserman.spectra[row])
         reference = cluster_spectrum(expect[row])
         assert reference.multiplicities == profile.multiplicities
         assert_allclose(reference.values, profile.values, rtol=0.0, atol=1e-13 * scale)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from weylgeom import chart_geometry, cli
+from weylgeom import chart_geometry, cli, tiers
 from weylgeom.models import ModelSpec, build_model, standard_phi
 from weylgeom.tensor_core import max_abs
 
@@ -77,13 +77,22 @@ class TestConfigParsing:
         code, _, err = run(capsys, "analyze")
         assert code == 2
 
-    def test_sample_floor(self, tmp_path, capsys):
+    @pytest.mark.parametrize("samples", [1, tiers.MAX_SAMPLES + 1, 10**13])
+    def test_sample_bounds(self, tmp_path, capsys, samples):
         cfg = tmp_path / "c.json"
         cfg.write_text(
-            json.dumps({"model": {"name": "flat", "params": {"m": 3}}, "samples": 1})
+            json.dumps({"model": {"name": "sphere", "params": {"m": 4}}, "samples": samples})
         )
         code, _, err = run(capsys, "analyze", str(cfg))
         assert code == 2
+        assert f"samples must be 2 to {tiers.MAX_SAMPLES}" in err
+
+    def test_sample_flag_above_the_bound(self, capsys):
+        code, _, err = run(
+            capsys, "spectrum", "--model", "space_form:m=4", "--samples", str(10**13)
+        )
+        assert code == 2
+        assert f"samples must be 2 to {tiers.MAX_SAMPLES}" in err
 
     def test_unknown_model_name(self, capsys):
         code, _, err = run(capsys, "analyze", "--model", "nope:m=3")

@@ -4,6 +4,7 @@ private name."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,48 @@ def test_no_private_name_crosses_modules(path):
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert private == []
+
+
+# Public functions that no module of the package calls: the library's own
+# entry points.  The list is exact, so a name that gains a caller leaves it.
+ENTRY_POINTS = {
+    "classify_act",
+    "classify_chart",
+    "recover_phi",
+    "second_bianchi_residual",
+    "christoffel",
+    "unit_directions",
+}
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Names read as an ast.Name or ast.Attribute, each outside any def of
+    that same name, so a recursive call is not a caller."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name) and node.id not in enclosing:
+            found.add(node.id)
+        if isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_public_function_has_a_caller():
+    # The __all__ counterpart of test_tiers.test_every_entry_is_read: an
+    # import or a docstring mention is not a caller.
+    src = Path(weylgeom.__file__).parent
+    called = set().union(*(_references(ast.parse(p.read_text())) for p in src.glob("*.py")))
+    uncalled = {
+        name
+        for short in LIBRARY
+        for name in importlib.import_module(f"weylgeom.{short}").__all__
+        if inspect.isfunction(getattr(weylgeom, name)) and name not in called
+    }
+    assert sorted(uncalled) == sorted(ENTRY_POINTS)

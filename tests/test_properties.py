@@ -4,8 +4,6 @@ Each example builds its tensors from a numpy generator seeded by the
 drawn integer, so a failing example shrinks to a seed that reproduces it.
 """
 
-from collections import Counter
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -13,13 +11,14 @@ from weylgeom.classifier import (
     _modal_profile,
     analyze_point,
     classify_act,
-    consensus_profile,
     recover_phi,
 )
 from weylgeom.curvature_algebra import a_phi, complex_space_form_act, r0, random_act
 from weylgeom.models import standard_phi
 from weylgeom.spectral import cluster_spectrum
 from weylgeom.tensor_core import CurvatureTensor, InnerProduct, max_abs, transform_tensor
+
+from test_classifier import modal_row
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 PROPERTY_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -63,10 +62,12 @@ KIND_AND_DIM = st.sampled_from(
 
 @PROPERTY_SETTINGS
 @given(KIND_AND_DIM, SEEDS)
-def test_analyze_point_profile_is_consensus_profile(kind_and_dim, seed):
+def test_analyze_point_profile_is_the_modal_row(kind_and_dim, seed):
     a = build(*kind_and_dim, seed)
     analysis = analyze_point(a)
-    assert analysis.profile == consensus_profile(analysis.decomposition.w)[0]
+    m = kind_and_dim[1]
+    rows = analysis.osserman.spectra[: m * m]
+    assert analysis.profile == cluster_spectrum(rows[modal_row(rows)])
 
 
 @PROPERTY_SETTINGS
@@ -98,16 +99,6 @@ def test_a_phi_is_even(m, seed):
     assert np.array_equal(a_phi(-phi, g).components, a_phi(phi, g).components)
 
 
-def counter_vote(rows, cluster_tol):
-    """The modal profile voted by multiplicity signature, one clustered
-    profile per row; ties go to the earliest row."""
-    profiles = [cluster_spectrum(row, cluster_tol) for row in rows]
-    counts = Counter(pr.multiplicities for pr in profiles)
-    top = max(counts.values())
-    i = next(i for i, pr in enumerate(profiles) if counts[pr.multiplicities] == top)
-    return profiles[i], i
-
-
 def clustered_row(rng, sizes):
     """Ascending row with clusters of the given sizes, spread below 1e-9."""
     levels = np.cumsum(rng.uniform(0.5, 3.0, len(sizes))) - 2.0
@@ -122,16 +113,17 @@ def composition(rng, width):
 
 @PROPERTY_SETTINGS
 @given(SEEDS, st.sampled_from((1e-8, 1e-6, 0.3)))
-def test_modal_profile_matches_counter_vote(seed, cluster_tol):
+def test_modal_profile_matches_modal_row(seed, cluster_tol):
     rng = np.random.default_rng(seed)
     width = int(rng.integers(2, 9))
     rows = np.array([clustered_row(rng, composition(rng, width)) for _ in range(int(rng.integers(1, 40)))])
-    assert _modal_profile(rows, cluster_tol) == counter_vote(rows, cluster_tol)
+    expect = cluster_spectrum(rows[modal_row(rows, cluster_tol)], cluster_tol)
+    assert _modal_profile(rows, cluster_tol) == expect
 
 
 @PROPERTY_SETTINGS
 @given(SEEDS)
-def test_modal_profile_breaks_ties_like_counter_vote(seed):
+def test_modal_profile_breaks_ties_like_modal_row(seed):
     rng = np.random.default_rng(seed)
     width = int(rng.integers(3, 9))
     first = composition(rng, width)
@@ -141,4 +133,4 @@ def test_modal_profile_breaks_ties_like_counter_vote(seed):
     copies = int(rng.integers(1, 6))
     rows = np.array([clustered_row(rng, sizes) for sizes in [first, second] * copies])
     rows = rows[rng.permutation(len(rows))]
-    assert _modal_profile(rows, 1e-6) == counter_vote(rows, 1e-6)
+    assert _modal_profile(rows, 1e-6) == cluster_spectrum(rows[modal_row(rows, 1e-6)], 1e-6)

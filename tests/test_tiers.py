@@ -32,6 +32,7 @@ PINNED = {
     "VERIFY_SYMMETRY": 1e-10,
     "VERIFY_RECONSTRUCTION": 1e-10,
     "MAX_DIMENSION": 32,
+    "MAX_SAMPLES": 2**16,
     "INNER_PRODUCT_SYMMETRY": 1e-10,
     "CHART_METRIC_SYMMETRY": 1e-9,
     "EUCLIDEAN_FRAME": 1e-12,
@@ -55,9 +56,9 @@ ALLOWED = {
 def test_every_entry_is_pinned():
     table = {name: value for name, value in vars(tiers).items() if not name.startswith("_")}
     assert table == PINNED
-    # Every threshold is a float but the dimension guard, a count.
-    assert {name for name, value in table.items() if type(value) is not float} == {"MAX_DIMENSION"}
-    assert type(tiers.MAX_DIMENSION) is int
+    # Every threshold is a float but the dimension and sample guards, counts.
+    counts = {name: type(value) for name, value in table.items() if type(value) is not float}
+    assert counts == {"MAX_DIMENSION": int, "MAX_SAMPLES": int}
 
 
 def _exponent_literals(path: Path):
