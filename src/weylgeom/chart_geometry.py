@@ -8,8 +8,9 @@ fd_step, gives the metric and its first and second derivatives: along
 each axis, and for a mixed derivative d_a d_b along the two diagonals
 e_a + e_b and e_a - e_b, 1 + 4m^2 metric points in all.  One
 curvature formula serves both modes; the covariant derivative of the
-curvature differences the jet, d2g and the Christoffel symbols, at twice
-that reach and joins the differences by the product rule.  The reaches,
+curvature differences d2g alone, at twice that reach, takes the
+derivatives of the Christoffel symbols exactly from the point's own jet
+and joins them by the product rule.  The reaches,
 chosen against analytic curvature, keep truncation and roundoff balanced
 for O(1) charts in 64 bit floats; the fourth order stencil buys about
 three decades of Bianchi residual on stiff charts over the three point
@@ -144,8 +145,9 @@ class MetricChart:
 
     @property
     def step3(self) -> float:
-        """Outer reach of the nabla R stencil, which differences the jet
-        (d2g and the Christoffel symbols) that curvature is built from.
+        """Outer reach of the nabla R stencil, which differences d2g, the
+        one part of the jet that curvature is built from not known at
+        the point itself.
 
         Analytic charts evaluate the jet to near machine precision, so
         a small reach balances the fourth order truncation against eps/h
@@ -227,10 +229,11 @@ def _positive_definite(g: np.ndarray) -> bool:
 # otherwise, which give all axes one block at m = 4, blocks of 3 axes at
 # m = 6 and one axis a block from m = 8.
 # Stacking pays while the temporaries stay in cache.  One analytic pass
-# (fubini_study, 2 vCPUs, one BLAS thread, best of 7 in three rounds on a
-# noisy host) in blocks of 1, 2, 4 or 8 axes took 3.3-3.6, 2.3-2.6,
-# 1.8-2.3 and 2.1-2.4 ms at m = 8, where the budget gives 4 axes, and
-# 34-36, 34-36, 36-39 and 45-46 ms at m = 16, where it gives 1.
+# (fubini_study, 2 vCPUs, one BLAS thread, best of 40 at m = 8 and of 7
+# at m = 16 in three rounds on a noisy host) in blocks of 1, 2, 4 or 8
+# axes took 2.4-3.7, 2.0-3.0, 1.5-2.2 and 1.3-2.0 ms at m = 8, where the
+# budget gives 4 axes, and 29-36, 29-35 and 36-46 ms (1, 2, 4) at
+# m = 16, where it gives 1.
 _CURVATURE_FLOATS = 2**16
 
 
@@ -276,14 +279,19 @@ def _central(f, reach: float) -> np.ndarray:
     return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * k)
 
 
-def _metric_jet(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated metrics g[n, i, j] and derivatives dg[n, a, i, j] and
-    d2g[n, a, b, i, j] at a stack of points, the one place where the
-    derivative mode picks a formula.  An analytic chart calls each
-    callback once and returns the metric validated and both derivatives
-    as the callbacks give them; d2g is symmetric in (a, b) by the
-    MetricChart contract.  Otherwise one metric call covers the _jet_stencil
-    points at reach step2, and every difference is a fourth order
+def _metric_jet(
+    chart: MetricChart, us: np.ndarray, head: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated metrics g[n, i, j] and derivatives dg[n, a, i, j] at the
+    first `head` points of a stack, all of them by default, and
+    d2g[n, a, b, i, j] at every point: the one place where the
+    derivative mode picks a formula.  An analytic chart calls d2_metric
+    once on the stack, and metric_at and d_metric once on its head
+    unless that is empty, and returns the metric validated and both
+    derivatives as the callbacks give them; d2g is symmetric in (a, b)
+    by the MetricChart contract.  Otherwise one metric call covers the
+    _jet_stencil points of the whole stack at reach step2, whatever the
+    head, and every difference is a fourth order
     central one, of four points for a first derivative and five for a
     second (B. Fornberg, Math. Comp. 51, 1988).  dg and the diagonal of
     d2g are taken along each axis, and for a != b
@@ -297,8 +305,11 @@ def _metric_jet(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     n, m = us.shape
     if chart.analytic:
-        g = chart._validated(us, chart.callback_stack(chart.metric_at, us, 2))
-        dg = chart.callback_stack(chart.d_metric, us, 3)
+        top = us[:head]
+        g, dg = np.empty((0, m, m)), np.empty((0, m, m, m))
+        if len(top):
+            g = chart._validated(top, chart.callback_stack(chart.metric_at, top, 2))
+            dg = chart.callback_stack(chart.d_metric, top, 3)
         return g, dg, chart.callback_stack(chart.d2_metric, us, 4)
     h, axial = chart.step2, 4 * m + 1
     points = _jet_stencil(us, h)
@@ -317,7 +328,7 @@ def _metric_jet(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, np.ndar
     grid = values[:, axial:].reshape(n, -1, 2, 4, m, m)
     dp2, dp1, dm1, dm2 = np.moveaxis(grid[:, :, 0] - grid[:, :, 1], 2, 0)
     d2g[:, a, b] = d2g[:, b, a] = (16.0 * (dp1 + dm1) - dp2 - dm2) / (12.0 * h * h)
-    return g, dg, d2g
+    return g[:head], dg[:head], d2g
 
 
 def _first_kind(dg: np.ndarray) -> np.ndarray:
@@ -362,18 +373,10 @@ def _symmetrize_curvature(c: np.ndarray) -> np.ndarray:
     return 0.5 * (c + np.moveaxis(c, (-2, -1), (-4, -3)))
 
 
-def _connection(chart: MetricChart, us: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Metrics g[n], second derivatives d2g[n, b, a, i, j] and the
-    Christoffel symbols of both kinds, first[n, (ij), l] and
-    gamma[n, k, i, j], at a stack of points from one _metric_jet: all
-    that _curvature and its derivative are built from."""
-    g, dg, d2g = _metric_jet(chart, us)
-    return (g, d2g) + _christoffel_from(np.linalg.inv(g), dg)
-
-
 def _curvature(us: np.ndarray, d2g: np.ndarray, first: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Lowered curvature L[n, i, j, k, l] at a stack of points us[n] from
-    their _connection; the one place that forms L.
+    their second derivatives d2g[n, b, a, i, j] and Christoffel symbols
+    of both kinds from _christoffel_from; the one place that forms L.
 
     L_ijkl = g_sl (d_i Gamma^s_jk + Gamma^s_it Gamma^t_jk) is R before
     its (i, j) antisymmetrization: R = 2 _symmetrize_curvature(L), bit for
@@ -403,10 +406,10 @@ def _curvature(us: np.ndarray, d2g: np.ndarray, first: np.ndarray, gamma: np.nda
     return lowered
 
 
-def _require_finite(us: np.ndarray, what: str, *arrays: np.ndarray) -> None:
-    """DomainError naming the first point of the stack us at which one
-    of the arrays, each with a leading axis over us, is not finite."""
-    finite = np.logical_and.reduce([np.isfinite(a).reshape(len(us), -1).all(axis=1) for a in arrays])
+def _require_finite(us: np.ndarray, what: str, a: np.ndarray) -> None:
+    """DomainError naming the first point of the stack us at which the
+    array a, with a leading axis over us, is not finite."""
+    finite = np.isfinite(a).reshape(len(us), -1).all(axis=1)
     if not finite.all():
         raise DomainError(f"{what} is not finite at u={us[int(finite.argmin())]}")
 
@@ -426,9 +429,9 @@ def _require_distinct(us: np.ndarray, points: np.ndarray, reach: float) -> None:
 def riemann_at(chart: MetricChart, u: np.ndarray) -> tuple[CurvatureTensor, InnerProduct]:
     """Fully covariant Riemann tensor and the metric at a point."""
     u = chart.require_interior(u, extent=2.0 * chart.step2)
-    g, *connection = _connection(chart, u[None])
-    lowered = _curvature(u[None], *connection)[0]
-    del connection  # the m^4 d2g, before the projection's temporaries
+    g, dg, d2g = _metric_jet(chart, u[None])
+    lowered = _curvature(u[None], d2g, *_christoffel_from(np.linalg.inv(g), dg))[0]
+    del d2g  # the m^4 d2g, before the projection's temporaries
     metric = InnerProduct(g[0])
     return CurvatureTensor(2.0 * _symmetrize_curvature(lowered), metric), metric
 
@@ -443,23 +446,26 @@ def riemann_with_derivative(
 
     nabla_n R = d_n R minus one correction Gamma^s_np R_..s.. per slot p.
     With P = _symmetrize_curvature and L from _curvature, R = 2 P(L), and
-    P commutes with the central difference.  R lies in P's class, so the
-    four corrections sum to 4 P(C), C[i, jkl] = Gamma^s_ni R_sjkl: slot j
-    follows from i by pair antisymmetry, k and l by pair interchange.
-    Each axis n is one product and one projection, 2 P(d_n L - 2 C).
+    P commutes with d_n.  R lies in P's class, so the four corrections
+    sum to 4 P(C), C[i, jkl] = Gamma^s_ni R_sjkl: slot j follows from i
+    by pair antisymmetry, k and l by pair interchange.  Each axis n is
+    one product and one projection, 2 P(d_n L - 2 C).
 
-    d_n L is not a difference of L: the stencil differences the jet that
-    L is built from, and the product rule puts it together at the centre,
+    d_n L is not a difference of L but the product rule at the point,
 
         d_n L = (1/2) _first_kind(d_n d2g)
                 - moveaxis((d_n first) gamma + first (d_n gamma)),
 
-    with first and gamma the centre's Christoffel symbols.  A stencil
-    point needs only its _connection, and L's m^4 work runs once per
-    axis.  The 4m stencil points are evaluated in blocks of whole axes
-    within the _CURVATURE_FLOATS budget, the point itself riding with
-    the first; each axis is differenced in one weighted sum of its four
-    values (B. Fornberg, Math. Comp. 51, 1988).
+    with first and gamma the point's Christoffel symbols.  Only the
+    third derivatives d_n d2g come from a stencil: it evaluates d2g
+    alone at its 4m points, in blocks of whole axes within the
+    _CURVATURE_FLOATS budget, the point itself riding with the first,
+    and differences each axis in one weighted sum of its four values
+    (B. Fornberg, Math. Comp. 51, 1988).  The derivatives of both
+    Christoffel kinds are exact from the point's jet g, dg and d2g; see
+    _christoffel_derivative.  An analytic chart so sees one call of
+    metric_at and of d_metric, at the point, and one of d2_metric per
+    block; L's m^4 work runs once per axis.
     """
     k3 = chart.step3
     m = chart.dim
@@ -472,28 +478,53 @@ def riemann_with_derivative(
     per_point = m**4 if chart.analytic else (1 + 4 * m * m) * m * m
     per_block = max(1, _CURVATURE_FLOATS // (4 * per_point))
     weights = _central(np.eye(4), k3)
-    out = np.empty((m,) * 5)
     for lo in range(0, m, per_block):
         axes = slice(lo, lo + per_block)
         us = stencil[4 * lo : 4 * axes.stop]
         if lo == 0:
-            us = np.concatenate([u[None], us])
-        g, d2g, first, gamma = _connection(chart, us)
+            g, dg, d2g = _metric_jet(chart, np.concatenate([u[None], us]), head=1)
+            ginv = np.linalg.inv(g)
+            first, gamma = _christoffel_from(ginv, dg)
+            rc = 2.0 * _symmetrize_curvature(_curvature(u[None], d2g[:1], first, gamma)[0])
+            g, dg, ginv, first, gamma = g[0], dg[0], ginv[0], first[0], gamma[0]
+            # The point's d2g serves every block: a copy, so that the
+            # stencil rows of this block can go.
+            d2g_c, d2g = d2g[0].copy(), d2g[1:]
+        else:
+            d2g = _metric_jet(chart, us, head=0)[2]
+        _require_finite(us, "metric jet", d2g)
+        d_d2g = weights @ d2g.reshape(len(us) // 4, 4, -1)
+        del d2g
         if lo == 0:
-            rc = 2.0 * _symmetrize_curvature(_curvature(us[:1], d2g[:1], first[:1], gamma[:1])[0])
-            g_c, first_c, gamma_c = g[0], first[0], gamma[0]
-            us, d2g, first, gamma = us[1:], d2g[1:], first[1:], gamma[1:]
-        _require_finite(us, "metric jet", d2g, first, gamma)
-        # The four stencil values of each axis, one weighted sum each.
-        k = len(us) // 4
-        diffs = [weights @ f.reshape(k, 4, -1) for f in (d2g, first, gamma)]
-        del d2g, first, gamma
-        half = _half_nabla_r(axes, rc, first_c, gamma_c, *diffs)
-        del diffs
+            # Once the first block's jet, a point larger than the
+            # others, is gone.
+            out = np.empty((m,) * 5)
+        d_christoffel = _christoffel_derivative(ginv, dg[axes], d2g_c[axes], gamma)
+        half = _half_nabla_r(axes, rc, first, gamma, d_d2g, *d_christoffel)
+        del d_d2g
         np.multiply(half, 2.0, out=out[axes])
         del half
         _require_finite(u[None], "nabla R", out[axes][None])
-    return CurvatureTensor(rc, InnerProduct(g_c)), np.moveaxis(out, 0, -1), gamma_c
+    return CurvatureTensor(rc, InnerProduct(g)), np.moveaxis(out, 0, -1), gamma
+
+
+def _christoffel_derivative(
+    ginv: np.ndarray, dg: np.ndarray, d2g: np.ndarray, gamma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives along some axes n of the Christoffel symbols of both
+    kinds at one point, exact from its jet: from g^-1[k, l], the rows
+    dg[n, l, s] and d2g[n, a, i, j] of those axes, and Gamma^k_ij,
+
+        d_n Gamma_{l,ij} = (1/2) _first_kind(d2g[n])_ijl,
+        d_n Gamma^k_ij = g^kl (d_n Gamma_{l,ij} - d_n g_ls Gamma^s_ij),
+
+    the second by d(g^-1) = -g^-1 (dg) g^-1, as [n, (ij), l] and
+    [n, k, (ij)]."""
+    k, m = len(d2g), len(ginv)
+    d_first = _first_kind(d2g).reshape(k, m * m, m)
+    d_first *= 0.5
+    d_gamma = ginv @ (np.swapaxes(d_first, 1, 2) - dg @ gamma.reshape(m, m * m))
+    return d_first, d_gamma
 
 
 def _half_nabla_r(
@@ -507,8 +538,9 @@ def _half_nabla_r(
 ) -> np.ndarray:
     """nabla_n R / 2 = P(d_n L - 2 C[n]) for the derivative axes n in
     `axes` (see riemann_with_derivative), from the centre's R and
-    Christoffel symbols of both kinds and the central differences along
-    those axes of d2g, first and gamma, one flat row per axis."""
+    Christoffel symbols of both kinds, the central differences of d2g
+    along those axes, one flat row per axis, and the derivatives of the
+    Christoffel symbols along them from _christoffel_derivative."""
     k, m = len(d_d2g), len(rc)
     d = _first_kind(d_d2g.reshape((k,) + (m,) * 4))
     d *= 0.5

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import tiers
 from .chart_geometry import MetricChart, riemann_at
-from .curvature_algebra import CurvatureDecomposition, a_phi, r0, weyl_decompose
+from .curvature_algebra import CurvatureDecomposition, a_phi, weyl_decompose
 from .spectral import (
     DEFAULT_SAMPLES,
     OssermanReport,
@@ -312,19 +312,23 @@ def _classify_constant(
                 f"{tol.eq2a_tol:.1e}; not a conformal complex space form"
             )
             return verdict(VerdictKind.OSSERMAN_OTHER)
-        r0_comps = r0(w.metric).components
-        # One work array holds B = (W - lambda0 R0) / lambda1 and then
-        # the residual W - (lambda0 R0 + lambda1 A_Phi).
-        buf = np.multiply(r0_comps, lambda0)
-        np.subtract(w.components, buf, out=buf)
+        # One work array holds B = (W - lambda0 R0) / lambda1 and then the
+        # model lambda0 R0 + lambda1 A_Phi.  W is in an orthonormal frame,
+        # where R0 is +1 at [i, j, j, i] and -1 at [i, j, i, j] for i != j
+        # and 0 elsewhere, so lambda0 R0 is added at those entries alone.
+        i, j = np.nonzero(~np.eye(m, dtype=bool))
+        buf = w.components.copy()
+        buf[i, j, j, i] -= lambda0
+        buf[i, j, i, j] += lambda0
         buf /= lambda1
         try:
             phi, a_phi_comps = _recover_phi_model(buf, w.metric, tol.recon_tol)
         except ReconstructionFailedError as exc:
             warnings.append(f"Hermitian structure recovery failed: {exc}")
             return verdict(VerdictKind.OSSERMAN_OTHER)
-        model = np.multiply(r0_comps, lambda0, out=buf)
-        model += lambda1 * a_phi_comps
+        model = np.multiply(a_phi_comps, lambda1, out=buf)
+        model[i, j, j, i] += lambda0
+        model[i, j, i, j] -= lambda0
         diagnostics["reconstruction_residual"] = max_abs(
             np.subtract(w.components, model, out=model)
         ) / max(1.0, weyl_max)

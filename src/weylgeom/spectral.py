@@ -293,10 +293,11 @@ def osserman_test(
     sorted spectra are compared rather than clusters, so cluster
     boundary flips cannot mask genuine variation.  The spectra rows
     follow unit_directions, structured directions first; a reduced
-    operator that is not self adjoint raises ValueError.
+    operator that is not self adjoint raises ValueError, and so does a
+    sample count below 2 or above tiers.MAX_SAMPLES.
     """
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
+    if not 2 <= samples <= tiers.MAX_SAMPLES:
+        raise ValueError(f"samples must be 2 to {tiers.MAX_SAMPLES}, got {samples}")
     spectra = np.vstack(
         [structured_spectra(a), direction_spectra(a, _random_directions(a.dim, samples, seed))]
     )

@@ -91,8 +91,9 @@ VERIFY_RECONSTRUCTION = 1e-10
 # nabla R array alone is over 268 MB above it.
 MAX_DIMENSION = 32
 
-# Largest random direction count the command line accepts, an integer: at
-# m = 32 it bounds the spectra array to about 16 MB.
+# Largest random direction count that osserman_test, and so the command
+# line, accepts, an integer: at m = 32 it bounds the spectra array to
+# about 16 MB.
 MAX_SAMPLES = 2**16
 
 # InnerProduct: symmetry of the matrix, relative to max(1, max |g|).

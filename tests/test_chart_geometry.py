@@ -13,7 +13,8 @@ from weylgeom.chart_geometry import (
     Box,
     DomainError,
     MetricChart,
-    _connection,
+    _christoffel_derivative,
+    _christoffel_from,
     _curvature,
     _metric_jet,
     christoffel,
@@ -531,14 +532,15 @@ class TestCallbackCounts:
         [(2, True, 1), (2, False, 17), (4, True, 2), (8, True, 16), (12, True, 24)],
     )
     def test_second_bianchi_evaluates_each_stencil_point_once(self, n, stacked, count):
-        # The point and four stencil points along each of the m axes, one
-        # call per point when not stacked.  Stacked, blocks of whole axes
-        # within 2^16 floats of m^4 a point, the point riding with the
-        # first: all 4 axes in one block at m = 4, blocks of 4 axes at
-        # m = 8, one axis a block at m = 16 and m = 24.
+        # d2_metric at the point and four stencil points along each of the
+        # m axes, one call per point when not stacked.  Stacked, blocks of
+        # whole axes within 2^16 floats of m^4 a point, the point riding
+        # with the first: all 4 axes in one block at m = 4, blocks of 4
+        # axes at m = 8, one axis a block at m = 16 and m = 24.  metric_at
+        # and d_metric see the point alone.
         chart, calls = counted_chart(dataclasses.replace(fubini_study_chart(n), stacked=stacked))
         second_bianchi_residual(chart, np.full(2 * n, 0.05))
-        assert calls == {"metric_at": count, "d_metric": count, "d2_metric": count}
+        assert calls == {"metric_at": 1, "d_metric": 1, "d2_metric": count}
 
     @pytest.mark.parametrize(
         "n, stacked, riemann, bianchi", [(2, True, 1, 1), (2, False, 65, 1105), (4, True, 1, 8)]
@@ -576,6 +578,8 @@ class TestCurvatureBlocks:
         m = chart.dim
         u = np.full(m, 0.05)
         per_point = m**4 if chart.analytic else (1 + 4 * m * m) * m * m
+        # One call per block of the callback that the stencil points see.
+        stencil_callback = "d2_metric" if chart.analytic else "metric_at"
         runs = []
         # One axis a block, blocks of 3 axes (the last one short), and
         # all axes in one block.
@@ -583,8 +587,14 @@ class TestCurvatureBlocks:
             monkeypatch.setattr(chart_geometry, "_CURVATURE_FLOATS", axes * 4 * per_point)
             counted, calls = counted_chart(chart)
             runs.append(riemann_with_derivative(counted, u))
-            assert calls["metric_at"] == -(-m // axes)
+            assert calls[stencil_callback] == -(-m // axes)
         r, nabla, gam = runs[0]
+        # R, g and Gamma at the point are riemann_at's and christoffel's
+        # bit for bit, whatever the block the point rides in.
+        expect, metric = riemann_at(chart, u)
+        assert np.array_equal(r.components, expect.components)
+        assert np.array_equal(r.metric.g, metric.g)
+        assert np.array_equal(gam, christoffel(chart, u))
         # The bound of the stacked point-loop comparison in test_models.
         bound = 1e-15 * max(max_abs(nabla), 3.0 / chart.step3 * max_abs(r.components))
         for r2, nabla2, gam2 in runs[1:]:
@@ -636,7 +646,9 @@ class TestCovariantDerivatives:
 
     def test_small_step_keeps_honest_residual(self):
         # A half step of about 22 ulps of u0 = 0.05: no stencil point
-        # collapses, and roundoff over the step shows in the residual.
+        # collapses, and roundoff over the step shows in the residual,
+        # 0.81 measured (0.79 differencing the Christoffel symbols along
+        # the stencil too).
         chart = dataclasses.replace(fubini_study_chart(2), fd_step=1e-16)
         residual = second_bianchi_residual(chart, np.full(4, 0.05))
         assert 1e-3 < residual < 10.0
@@ -681,7 +693,13 @@ class TestCovariantDerivatives:
         )
         got = riemann_with_derivative(chart, u)[1]
         assert got.shape == (4,) * 5
-        assert max_abs(got - expect) <= 1e-12 * max(1.0, max_abs(expect))
+        # The reference differences the finite difference Christoffel
+        # symbols along the nabla R stencil, which the pass takes from the
+        # point's jet instead: the two agree to that stencil's truncation,
+        # 5.9e-12 measured, against a 1.3e-7 distance of either from the
+        # analytic chart's nabla R.
+        bound = 1e-12 if analytic else 3e-11
+        assert max_abs(got - expect) <= bound * max(1.0, max_abs(expect))
 
     @pytest.mark.parametrize("analytic", [True, False])
     def test_derivative_has_exact_curvature_symmetries(self, analytic):
@@ -731,7 +749,7 @@ class TestCovariantDerivatives:
 
     def test_second_bianchi_memory_peak(self):
         # At m = 16 nabla R is one 8.4 MB array; the correction and the
-        # cyclic sum work on m^4 slabs of it (12.9 MB peak measured, 25.2
+        # cyclic sum work on m^4 slabs of it (12.3 MB peak measured, 25.2
         # MB with whole m^5 temporaries).
         peak = traced_peak(second_bianchi_residual, fubini_study_chart(8), np.full(16, 0.05))
         assert peak <= 16e6
@@ -792,16 +810,18 @@ class TestCurvatureCore:
         if not analytic:
             chart = dataclasses.replace(chart, d_metric=None, d2_metric=None)
         us = default_probe_points(chart, 2)
-        expect = textbook_lowered_curvature(*_metric_jet(chart, us))
-        got = _curvature(us, *_connection(chart, us)[1:])
+        g, dg, d2g = _metric_jet(chart, us)
+        expect = textbook_lowered_curvature(g, dg, d2g)
+        got = _curvature(us, d2g, *_christoffel_from(np.linalg.inv(g), dg))
         assert max_abs(expect) > 1e-2
         assert max_abs(got - expect) <= 1e-13 * max_abs(expect)
 
     @pytest.mark.parametrize("m", [4, 8, 16])
     @pytest.mark.parametrize("family", ["fubini_study", "complex_hyperbolic"])
     def test_analytic_bianchi_residuals_keep_their_size(self, family, m):
-        # Max over the default probe points: 2.0e-12 to 3.1e-11, and
-        # 4.9e-11 with the second kind formula; a second order nabla R
+        # Max over the default probe points: 7e-13 to 4.3e-11 (8e-13 to
+        # 4.1e-11 differencing the Christoffel symbols along the stencil),
+        # and 4.9e-11 with the second kind formula; a second order nabla R
         # stencil gives 1.6e-10 and up.
         chart = CHART_FAMILIES[family](m)
         residuals = [second_bianchi_residual(chart, u) for u in default_probe_points(chart)]
@@ -817,12 +837,78 @@ class TestCurvatureCore:
     )
     def test_fd_bianchi_residuals_keep_their_size(self, family, m):
         # The fd_charts families without derivative callbacks.  Max over
-        # the default probe points: 4.2e-6 (hyperbolic m = 6) differencing
-        # the curvature at each nabla R stencil point, 1.9e-6 differencing
-        # the jet; the other charts 5e-8 to 7e-7.  The tier is 1e-4.
+        # the default probe points: 4.3e-6 (hyperbolic m = 6) with the
+        # Christoffel derivatives from the point's jet, 3.8e-6 differencing
+        # them along the stencil; the other charts 3.8e-8 to 7.1e-7.  The
+        # tier is 1e-4.
         chart = dataclasses.replace(CHART_FAMILIES[family](m), d_metric=None, d2_metric=None)
         residuals = [second_bianchi_residual(chart, u) for u in default_probe_points(chart)]
         assert max(residuals) <= 1e-5
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda m: perturbed_flat_chart(m, 0.1, seed=3), rescaled_fubini_study_chart],
+        ids=["perturbed_flat", "rescaled_fubini_study"],
+    )
+    def test_exact_christoffel_derivative_matches_differences(self, build):
+        # Non-symmetric charts, so that d Gamma is not zero.  The
+        # derivatives from the point's jet against fourth order
+        # differences of christoffel and of the lowered symbols at reach
+        # 1e-3: at most 3.7e-12 relative measured.  nabla R, built on
+        # them, against differences of R itself: at most 1.2e-11.
+        chart = build(8)
+        m, k = 8, 5e-4
+
+        def lowered(v):
+            return np.einsum("lk,kij->ijl", chart.metric(v), christoffel(chart, v))
+
+        def central(f, u):
+            return np.array(
+                [
+                    (-f(u + 2 * e) + 8 * f(u + e) - 8 * f(u - e) + f(u - 2 * e)) / (12 * k)
+                    for e in np.eye(m) * k
+                ]
+            )
+
+        for u in default_probe_points(chart, 3):
+            g, dg, d2g = _metric_jet(chart, u[None])
+            ginv = np.linalg.inv(g)
+            gamma = _christoffel_from(ginv, dg)[1][0]
+            exact = _christoffel_derivative(ginv[0], dg[0], d2g[0], gamma)
+            differenced = central(lowered, u), central(lambda v: christoffel(chart, v), u)
+            for got, expect in zip(exact, differenced):
+                assert max_abs(expect) > 1e-3
+                assert max_abs(got.reshape(expect.shape) - expect) <= 1e-10 * max_abs(expect)
+            expect = per_slot_nabla_r(chart, u)[0]
+            got = riemann_with_derivative(chart, u)[1]
+            assert max_abs(got - expect) <= 1e-10 * max_abs(expect)
+
+    def test_bianchi_oracle_sees_a_jet_that_is_no_metric_jet(self):
+        # d2_metric off by 1e-3 sin(u_0) delta_ab delta_ij: smooth and
+        # symmetric in (a, b), but its derivative along c is not symmetric
+        # in (a, c), so no metric has it for a Hessian.  The pass
+        # differences d2g, so the residual shows it: 9.1e-5 to 1e-3 at
+        # the default points, against at most 5.8e-12 for the chart itself.
+        chart = fubini_study_chart(4)
+        base, eye = chart.d2_metric, np.eye(8)
+
+        def d2_metric(u):
+            u = np.asarray(u)
+            error = np.sin(u[..., 0])[..., None, None, None, None] * np.multiply.outer(eye, eye)
+            return base(u) + 1e-3 * error
+
+        wrong = dataclasses.replace(chart, d2_metric=d2_metric)
+        for u in default_probe_points(chart):
+            assert second_bianchi_residual(chart, u) <= 1e-10
+            assert second_bianchi_residual(wrong, u) >= 1e-5
+
+    def test_riemann_with_derivative_memory_peak(self):
+        # At m = 16 nabla R is one 8.4 MB array, allocated once the first
+        # block's jet, which holds the point too, is gone; beside it the
+        # point's R and d2g and one block's d2g (12.28 MB peak measured,
+        # 12.47 MB differencing the Christoffel symbols along the stencil).
+        peak = traced_peak(riemann_with_derivative, fubini_study_chart(8), np.full(16, 0.05))
+        assert peak <= 12.5e6
 
     def test_riemann_at_memory_peak(self):
         # At m = 16 the jet, L and the projection hold a few m^4 arrays

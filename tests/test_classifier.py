@@ -384,6 +384,21 @@ class TestClassifyAct:
         assert_allclose(v.lambda1, 1.0 / c, rtol=1e-8)
 
 
+class TestSampleBounds:
+    @pytest.mark.parametrize("samples", [1, tiers.MAX_SAMPLES + 1, 10**13])
+    @pytest.mark.parametrize("entry", ["classify_act", "analyze_point", "classify_chart"])
+    def test_sample_count_outside_the_bounds_is_refused(self, entry, samples):
+        # 10**13 directions would ask numpy for hundreds of TiB.
+        a, chart = random_act(0, 4), flat_chart(4)
+        run = {
+            "classify_act": lambda: classify_act(a, samples=samples),
+            "analyze_point": lambda: analyze_point(a, samples=samples),
+            "classify_chart": lambda: classify_chart(chart, np.full(4, 0.05), samples=samples),
+        }[entry]
+        with pytest.raises(ValueError, match=f"samples must be 2 to {tiers.MAX_SAMPLES}, got"):
+            run()
+
+
 class TestMergeRegion:
     """Behavior as lambda1 crosses the clustering resolution."""
 
