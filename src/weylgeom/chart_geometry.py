@@ -518,12 +518,11 @@ def _christoffel_derivative(
         d_n Gamma_{l,ij} = (1/2) _first_kind(d2g[n])_ijl,
         d_n Gamma^k_ij = g^kl (d_n Gamma_{l,ij} - d_n g_ls Gamma^s_ij),
 
-    the second by d(g^-1) = -g^-1 (dg) g^-1, as [n, (ij), l] and
-    [n, k, (ij)]."""
+    the second by d(g^-1) = -g^-1 (dg) g^-1, as _christoffel_from lays
+    out its two kinds."""
     k, m = len(d2g), len(ginv)
-    d_first = _first_kind(d2g).reshape(k, m * m, m)
-    d_first *= 0.5
-    d_gamma = ginv @ (np.swapaxes(d_first, 1, 2) - dg @ gamma.reshape(m, m * m))
+    d_first, d_gamma = _christoffel_from(np.broadcast_to(ginv, (k, m, m)), d2g)
+    d_gamma -= (ginv @ dg @ gamma.reshape(m, m * m)).reshape(d_gamma.shape)
     return d_first, d_gamma
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import tiers
 from .chart_geometry import MetricChart, riemann_at
-from .curvature_algebra import CurvatureDecomposition, a_phi, weyl_decompose
+from .curvature_algebra import CurvatureDecomposition, a_phi, add_r0_of_identity, weyl_decompose
 from .spectral import (
     DEFAULT_SAMPLES,
     OssermanReport,
@@ -313,22 +313,15 @@ def _classify_constant(
             )
             return verdict(VerdictKind.OSSERMAN_OTHER)
         # One work array holds B = (W - lambda0 R0) / lambda1 and then the
-        # model lambda0 R0 + lambda1 A_Phi.  W is in an orthonormal frame,
-        # where R0 is +1 at [i, j, j, i] and -1 at [i, j, i, j] for i != j
-        # and 0 elsewhere, so lambda0 R0 is added at those entries alone.
-        i, j = np.nonzero(~np.eye(m, dtype=bool))
-        buf = w.components.copy()
-        buf[i, j, j, i] -= lambda0
-        buf[i, j, i, j] += lambda0
+        # model lambda0 R0 + lambda1 A_Phi; W is in an orthonormal frame.
+        buf = add_r0_of_identity(w.components.copy(), -lambda0)
         buf /= lambda1
         try:
             phi, a_phi_comps = _recover_phi_model(buf, w.metric, tol.recon_tol)
         except ReconstructionFailedError as exc:
             warnings.append(f"Hermitian structure recovery failed: {exc}")
             return verdict(VerdictKind.OSSERMAN_OTHER)
-        model = np.multiply(a_phi_comps, lambda1, out=buf)
-        model[i, j, j, i] += lambda0
-        model[i, j, i, j] -= lambda0
+        model = add_r0_of_identity(np.multiply(a_phi_comps, lambda1, out=buf), lambda0)
         diagnostics["reconstruction_residual"] = max_abs(
             np.subtract(w.components, model, out=model)
         ) / max(1.0, weyl_max)

@@ -118,6 +118,16 @@ def r0(g: InnerProduct) -> CurvatureTensor:
     return CurvatureTensor(_pair_products(g.g)[0], g)
 
 
+def add_r0_of_identity(buf: np.ndarray, s: float) -> np.ndarray:
+    """buf + s R0 of the identity metric, in place and returned: r0 is
+    +1 at [i, j, j, i] and -1 at [i, j, i, j] for i != j there and 0 at
+    the rest, so only those 2m(m - 1) entries are touched."""
+    i, j = np.nonzero(~np.eye(len(buf), dtype=bool))
+    buf[i, j, j, i] += s
+    buf[i, j, i, j] -= s
+    return buf
+
+
 def ricci_scalar(a: CurvatureTensor) -> tuple[np.ndarray, float]:
     """Ricci form and scalar curvature of a curvature tensor.
 

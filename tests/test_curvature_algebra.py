@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from weylgeom.curvature_algebra import (
     a_phi,
     a_psi,
+    add_r0_of_identity,
     complex_space_form_act,
     draw_act_generators,
     l_tensor,
@@ -56,6 +57,12 @@ class TestSphereGenerator:
 
     def test_symmetries(self):
         assert symmetry_residual(r0(E4)) == 0.0
+
+    @pytest.mark.parametrize("m", [3, 4, 8])
+    def test_sparse_update_is_r0_of_identity(self, m):
+        base = random_act(m, m).components
+        got = add_r0_of_identity(base.copy(), -2.5)
+        assert np.array_equal(got, base - 2.5 * r0(InnerProduct.euclidean(m)).components)
 
 
 class TestRicciContraction:
