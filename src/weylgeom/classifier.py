@@ -165,6 +165,10 @@ def recover_phi(
     return _recover_phi_model(b.components, b.metric, recon_tol)[0]
 
 
+# Steps of the rank-one iteration in _recover_phi_model.
+_PHI_STEPS = 3
+
+
 def _recover_phi_model(
     c: np.ndarray, g: InnerProduct, recon_tol: float
 ) -> tuple[HermitianStructure, np.ndarray]:
@@ -175,7 +179,20 @@ def _recover_phi_model(
     if m % 2 != 0:
         raise ValueError(f"even dimension required, got m={m}")
     i, j = np.triu_indices(m, 1)
-    v = np.linalg.eigh(c[i, j][:, i, j])[1][:, 0]
+    b2 = c[i, j][:, i, j]
+    # For B = a_phi(Phi), B2^2 - I = ((m + 1)^2 - 1) v v^T: B2's column of
+    # largest norm leans most on v, and each step v <- (B2^2 - I) v strips
+    # the rest, down to the drift of the other eigenvalues from +-1.  The
+    # steps run on B2 / 2^k with 2^k >= max(1, max |B2|), which keeps them
+    # finite and, being a power of two, changes no bit of the direction.
+    k = max(0, int(np.frexp(max_abs(b2))[1]))
+    b2 = np.ldexp(b2, -k)
+    v = b2[:, np.argmax(np.vecdot(b2.T, b2.T))]
+    for _ in range(_PHI_STEPS):
+        v = b2 @ (b2 @ v) - np.ldexp(v, -2 * k)
+        nrm = np.sqrt(v @ v)
+        if nrm > 0.0:
+            v /= nrm
     # The tie band lets entries equal in exact arithmetic (four at m = 8
     # for the standard structure) fix the same sign whatever the roundoff
     # upstream.
@@ -225,8 +242,12 @@ def _modal_profile(rows: np.ndarray, cluster_tol: float) -> SpectralProfile:
     """
     scale = np.maximum(1.0, np.abs(rows).max(axis=1, initial=0.0))
     breaks = np.diff(rows, axis=1) > cluster_tol * scale[:, None]
-    _, first, counts = np.unique(breaks, axis=0, return_index=True, return_counts=True)
-    return cluster_spectrum(rows[first[counts == counts.max()].min()], cluster_tol)
+    keys = list(map(bytes, np.packbits(breaks, axis=1)))
+    # A Counter keeps its keys in first-seen order and max returns the
+    # first maximal one: the signature of the earliest modal row.
+    counts = Counter(keys)
+    modal = max(counts, key=counts.__getitem__)
+    return cluster_spectrum(rows[keys.index(modal)], cluster_tol)
 
 
 def parity_consistency(m: int, profile: SpectralProfile, verdict: Verdict) -> list[str]:

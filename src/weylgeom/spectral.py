@@ -14,7 +14,9 @@ first.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,7 +120,8 @@ def _reduce(jac: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Jacobi operators jac of the unit rows of dirs compressed to their
     Householder complements, (n, m-1, m-1)."""
     nrm = np.linalg.norm(dirs, axis=1)
-    bad = np.flatnonzero(np.abs(nrm - 1.0) > tiers.UNIT_DIRECTION)
+    # Written so that a NaN norm fails the gate.
+    bad = np.flatnonzero(~(np.abs(nrm - 1.0) <= tiers.UNIT_DIRECTION))
     if bad.size:
         raise ValueError(f"direction must be unit length, got |x| = {float(nrm[bad[0]])!r}")
     p = _complement_bases(dirs)
@@ -143,51 +146,74 @@ def direction_spectra(a: CurvatureTensor, dirs: np.ndarray) -> np.ndarray:
     """Ascending reduced Jacobi spectra of the unit rows of dirs, one row
     each, shape (n, m - 1).
 
-    A row that is not unit length, or whose reduced operator is not self
-    adjoint, raises ValueError.
+    dirs must have shape (n, m).  A row that is not unit length (a NaN
+    row among them), or whose reduced operator is not self adjoint,
+    raises ValueError.
     """
     _require_orthonormal(a)
     dirs = np.asarray(dirs, dtype=float)
+    if dirs.ndim != 2 or dirs.shape[1] != a.dim:
+        raise ValueError(f"directions must have shape (n, {a.dim}), got {dirs.shape}")
     return _spectra(dirs, lambda block: _jacobi_stack(a.components, dirs[block]))
 
 
-def _structured_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Axes i, j and signs s of the structured_directions rows, in order:
-    (i, i, 0) for each axis, then (i, j, +1) and (i, j, -1) for each
-    i < j in row-major order."""
+class _Structured(NamedTuple):
+    """The structured_directions rows of one dimension, read-only.
+
+    Axes i, j and signs s, in row order: (i, i, 0) for each axis, then
+    (i, j, +1) and (i, j, -1) for each i < j in row-major order; the
+    unit rows (e_i + s e_j)/sqrt2, and e_i for an axis; and what
+    _structured_jacobi gathers with: the flat indices a m + b of the
+    slices T_ii, T_jj, T_ij and T_ji, and the column s/2.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    s: np.ndarray
+    rows: np.ndarray
+    ii: np.ndarray
+    jj: np.ndarray
+    ij: np.ndarray
+    ji: np.ndarray
+    half_s: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _structured(m: int) -> _Structured:
+    """The table of dimension m, built once: m^3 floats of rows and a few
+    m^2 index arrays, for the most recently used dimensions."""
     iu, ju = np.triu_indices(m, 1)
     axes = np.arange(m)
     i = np.concatenate([axes, np.repeat(iu, 2)])
     j = np.concatenate([axes, np.repeat(ju, 2)])
     s = np.concatenate([np.zeros(m), np.tile([1.0, -1.0], iu.size)])
-    return i, j, s
-
-
-def _structured_rows(m: int, i: np.ndarray, j: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The unit rows (e_i + s e_j)/sqrt2 of a pair index, and e_i for an axis."""
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    dirs = np.zeros((i.size, m))
-    dirs[np.arange(m), i[:m]] = 1.0
+    rows = np.zeros((i.size, m))
+    rows[axes, axes] = 1.0
     pairs = np.arange(m, i.size)
-    dirs[pairs, i[m:]] = inv_sqrt2
-    dirs[pairs, j[m:]] = s[m:] * inv_sqrt2
-    return dirs
+    rows[pairs, i[m:]] = inv_sqrt2
+    rows[pairs, j[m:]] = s[m:] * inv_sqrt2
+    table = _Structured(
+        i, j, s, rows, i * m + i, j * m + j, i * m + j, j * m + i, (0.5 * s)[:, None]
+    )
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
-def _structured_jacobi(ab: np.ndarray, i: np.ndarray, j: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Jacobi operators of the structured rows (i, j, s), read off slices
-    of the tensor, shape (n, m, m).
+def _structured_jacobi(ab: np.ndarray, table: _Structured, block: slice) -> np.ndarray:
+    """Jacobi operators of the structured rows table.rows[block], read off
+    slices of the tensor, shape (n, m, m).
 
     With T_ab[z, y] = A[y, a, b, z], held in ab[y, a m + b, z],
     J(e_i) = T_ii and J((e_i + s e_j)/sqrt2) = (T_ii + T_jj)/2 +
     s (T_ij + T_ji)/2.  An axis row has i = j and s = 0, for which the
     formula gives T_ii exactly.
     """
-    m = ab.shape[0]
-    jac = ab[:, i * m + i] + ab[:, j * m + j]
+    jac = ab[:, table.ii[block]] + ab[:, table.jj[block]]
     jac *= 0.5
-    cross = ab[:, i * m + j] + ab[:, j * m + i]
-    cross *= (0.5 * s)[:, None]
+    cross = ab[:, table.ij[block]] + ab[:, table.ji[block]]
+    cross *= table.half_s[block]
     jac += cross
     return np.transpose(jac, (1, 2, 0))
 
@@ -198,12 +224,9 @@ def structured_spectra(a: CurvatureTensor) -> np.ndarray:
     rather than from a product over all of it."""
     _require_orthonormal(a)
     m = a.dim
-    i, j, s = _structured_index(m)
+    table = _structured(m)
     ab = a.components.reshape(m, m * m, m)
-    return _spectra(
-        _structured_rows(m, i, j, s),
-        lambda block: _structured_jacobi(ab, i[block], j[block], s[block]),
-    )
+    return _spectra(table.rows, lambda block: _structured_jacobi(ab, table, block))
 
 
 def _self_adjoint_eigvalsh(mat: np.ndarray) -> np.ndarray:
@@ -243,7 +266,7 @@ def cluster_spectrum(eig: np.ndarray, cluster_tol: float = tiers.CLUSTER) -> Spe
 
 def structured_directions(m: int) -> np.ndarray:
     """Fixed direction set: basis vectors and normalized pairs (e_i +- e_j)/sqrt2."""
-    return _structured_rows(m, *_structured_index(m))
+    return _structured(m).rows.copy()
 
 
 def _random_directions(m: int, n: int, seed: int) -> np.ndarray:

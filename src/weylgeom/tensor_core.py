@@ -82,6 +82,8 @@ class InnerProduct:
         except np.linalg.LinAlgError as exc:
             raise ValueError("inner product matrix is not positive definite") from exc
         object.__setattr__(self, "g", _as_readonly(g))
+        # g is read-only, so is_euclidean compares this one reduction.
+        object.__setattr__(self, "_from_identity", max_abs(g - np.eye(g.shape[0])))
 
     @property
     def dim(self) -> int:
@@ -98,7 +100,7 @@ class InnerProduct:
         return float(np.sqrt(max(self.pair(x, x), 0.0)))
 
     def is_euclidean(self, tol: float = tiers.EUCLIDEAN_FRAME) -> bool:
-        return max_abs(self.g - np.eye(self.dim)) <= tol
+        return self._from_identity <= tol
 
 
 @dataclass(frozen=True)

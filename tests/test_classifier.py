@@ -4,14 +4,19 @@ The classifier consumes Weyl parts only; every entry point is expected
 to absorb frame changes and overall metric scale on its own.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from weylgeom import tiers
+from weylgeom import classifier, tiers
 from weylgeom.classifier import (
     ChartReport,
     ReconstructionFailedError,
@@ -56,6 +61,8 @@ from weylgeom.tensor_core import (
     max_abs,
     transform_tensor,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def structure_distance(got, expect):
@@ -180,19 +187,75 @@ def pivot_recovery(c):
     return 0.5 * (phi - phi.T)
 
 
-class TestRecoverPhiReference:
-    """recover_phi against the pivot-and-propagation reference, and FD
-    charts against their analytic twins; both compare signed matrices."""
+def eigh_recovery(c):
+    """Phi as the full eigh of the 2-form operator gives it, kept as the
+    reference for the rank-one iteration of recover_phi: the eigenvector
+    of the lowest eigenvalue of B2[(ij), (kl)] = B[i, j, k, l] over i < j,
+    signed by the pivot rule and scaled by sqrt(m/2)."""
+    m = c.shape[0]
+    i, j = np.triu_indices(m, 1)
+    v = np.linalg.eigh(c[i, j][:, i, j])[1][:, 0]
+    sq = v * v
+    if v[np.argmax(sq >= (1.0 - tiers.PIVOT_TIE) * sq.max())] < 0.0:
+        v = -v
+    phi = np.zeros((m, m))
+    phi[i, j] = np.sqrt(m / 2.0) * v
+    return phi - phi.T
 
-    @pytest.mark.parametrize("m", [6, 8, 10, 16, 24])
-    def test_matches_pivot_recovery_on_rotations(self, m):
+
+def captured_recoveries(monkeypatch):
+    """Record each (B, Phi) that the classifier's recovery returns."""
+    seen = []
+    inner = classifier._recover_phi_model
+
+    def recording(c, g, recon_tol):
+        out = inner(c, g, recon_tol)
+        seen.append((np.array(c), out[0].matrix))
+        return out
+
+    monkeypatch.setattr(classifier, "_recover_phi_model", recording)
+    return seen
+
+
+class TestRecoverPhiReference:
+    """recover_phi against the pivot-and-propagation and the eigh
+    references, and FD charts against their analytic twins; all compare
+    signed matrices."""
+
+    @pytest.mark.parametrize("make_chart", [fubini_study_chart, complex_hyperbolic_chart])
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    def test_matches_eigh_recovery_on_charts(self, make_chart, mode, monkeypatch):
+        # B here is (W - lambda0 R0) / lambda1 of a chart point, off the
+        # a_phi form by the chart's curvature error.
+        chart = make_chart(4)
+        if mode == "fd":
+            chart = replace(chart, d_metric=None, d2_metric=None)
+        seen = captured_recoveries(monkeypatch)
+        classify_chart(chart, default_probe_points(make_chart(4), 3))
+        assert len(seen) == 3
+        for c, phi in seen:
+            assert max_abs(phi - eigh_recovery(c)) <= 1e-13
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+    def test_extreme_scales_fail_validation(self, scale):
+        # The iteration runs on B2 over a power of two, so no product
+        # overflows; off scale 1, B is not a_phi and fails the gate.
+        g = InnerProduct.euclidean(8)
+        b = CurvatureTensor(scale * a_phi(standard_phi(8), g).components, g)
+        with pytest.raises(ReconstructionFailedError, match="validation residuals"):
+            recover_phi(b)
+
+    @pytest.mark.parametrize("m", [4, 6, 8, 10, 16, 24])
+    def test_matches_both_references_on_rotations(self, m):
         g = InnerProduct.euclidean(m)
         base = standard_phi(m).matrix
         rng = np.random.default_rng(m)
         for _ in range(5):
             q, _r = np.linalg.qr(rng.standard_normal((m, m)))
             b = a_phi(q.T @ base @ q, g)
-            assert max_abs(recover_phi(b).matrix - pivot_recovery(b.components)) <= 1e-13
+            got = recover_phi(b).matrix
+            assert max_abs(got - pivot_recovery(b.components)) <= 1e-13
+            assert max_abs(got - eigh_recovery(b.components)) <= 1e-13
 
     def test_matches_pivot_recovery_under_roundoff(self):
         g = InnerProduct.euclidean(8)
@@ -251,6 +314,45 @@ class TestAnalyzePoint:
         analysis = analyze_point(transform_tensor(a, b))
         assert analysis.decomposition.w.metric.is_euclidean()
         assert analysis.verdict.kind is VerdictKind.CONFORMALLY_COMPLEX_SPACE_FORM
+
+    def test_interleaved_dimensions_match_a_fresh_process(self):
+        # The per-dimension direction tables are built once and kept;
+        # every output bit must be what a process that never saw another
+        # dimension computes.
+        here = [pipeline_fingerprint(m) for m in (8, 10, 16, 8)]
+        assert here[3] == here[0]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")])
+        )
+        for m, digest in zip((8, 10, 16), here):
+            code = f"from test_classifier import pipeline_fingerprint; print(pipeline_fingerprint({m}))"
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == digest
+
+
+def pipeline_fingerprint(m):
+    """Digest of every output bit of analyze_point on two seeded tensors
+    of dimension m: a random ACT, and a complex space form seen in a
+    skewed frame, whose metric is not the identity."""
+    frame = np.eye(m) + 0.1 * np.random.default_rng(m).standard_normal((m, m))
+    tensors = [
+        random_act(m, m),
+        transform_tensor(complex_space_form_act(-0.5, 1.5, standard_phi(m)), frame),
+    ]
+    digest = hashlib.sha256()
+    for a in tensors:
+        analysis = analyze_point(a)
+        v = analysis.verdict
+        digest.update(analysis.osserman.spectra.tobytes())
+        fields = (v.kind, v.profile, v.lambda0, v.lambda1, sorted(v.diagnostics.items()), v.warnings)
+        digest.update(repr(fields).encode())
+        if v.phi is not None:
+            digest.update(v.phi.matrix.tobytes())
+    return digest.hexdigest()
 
 
 # Left multiplication by i, j, k on the quaternions in the basis 1, i, j, k.

@@ -105,6 +105,10 @@ def clustered_row(rng, sizes):
     return np.sort(np.repeat(levels, sizes) + rng.uniform(0.0, 1e-9, sum(sizes)))
 
 
+# The modal-profile properties draw row widths up to 24, so the break
+# rows that _modal_profile packs into bytes span up to three of them.
+
+
 def composition(rng, width):
     """Random cluster sizes summing to width."""
     cuts = np.flatnonzero(rng.random(width - 1) < 0.4) + 1
@@ -115,7 +119,7 @@ def composition(rng, width):
 @given(SEEDS, st.sampled_from((1e-8, 1e-6, 0.3)))
 def test_modal_profile_matches_modal_row(seed, cluster_tol):
     rng = np.random.default_rng(seed)
-    width = int(rng.integers(2, 9))
+    width = int(rng.integers(2, 25))
     rows = np.array([clustered_row(rng, composition(rng, width)) for _ in range(int(rng.integers(1, 40)))])
     expect = cluster_spectrum(rows[modal_row(rows, cluster_tol)], cluster_tol)
     assert _modal_profile(rows, cluster_tol) == expect
@@ -125,7 +129,7 @@ def test_modal_profile_matches_modal_row(seed, cluster_tol):
 @given(SEEDS)
 def test_modal_profile_breaks_ties_like_modal_row(seed):
     rng = np.random.default_rng(seed)
-    width = int(rng.integers(3, 9))
+    width = int(rng.integers(3, 25))
     first = composition(rng, width)
     second = first
     while np.array_equal(second, first):
@@ -134,3 +138,14 @@ def test_modal_profile_breaks_ties_like_modal_row(seed):
     rows = np.array([clustered_row(rng, sizes) for sizes in [first, second] * copies])
     rows = rows[rng.permutation(len(rows))]
     assert _modal_profile(rows, 1e-6) == cluster_spectrum(rows[modal_row(rows, 1e-6)], 1e-6)
+
+
+def test_modal_profile_tells_breaks_apart_past_the_first_byte():
+    # Width 24: the two signatures differ only in break 19 against break
+    # 20, both in the third packed byte; the later one is the more
+    # frequent.
+    rng = np.random.default_rng(0)
+    early, late = np.array([20, 4]), np.array([21, 3])
+    rows = np.array([clustered_row(rng, sizes) for sizes in (early, late, early, late, late)])
+    assert _modal_profile(rows, 1e-6).multiplicities == (21, 3)
+    assert _modal_profile(rows[:4], 1e-6) == cluster_spectrum(rows[0], 1e-6)

@@ -18,7 +18,7 @@ from weylgeom.spectral import (
     _complement_bases,
     _jacobi_stack,
     _self_adjoint_eigvalsh,
-    _structured_index,
+    _structured,
     _structured_jacobi,
     cluster_spectrum,
     direction_spectra,
@@ -152,6 +152,28 @@ class TestOneDirectionSpectrum:
             direction_spectra(r0(InnerProduct.euclidean(4)), np.array([[0.5, 0.0, 0.0, 0.0]]))
 
 
+class TestMalformedDirections:
+    """direction_spectra refuses rows of the wrong shape or length with a
+    ValueError that names the problem."""
+
+    def setup_method(self):
+        self.w = weyl_decompose(random_act(1, 6)).w
+
+    def test_one_dimensional_row(self):
+        with pytest.raises(ValueError, match=r"shape \(n, 6\), got \(6,\)"):
+            direction_spectra(self.w, np.eye(6)[0])
+
+    def test_rows_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match=r"shape \(n, 6\), got \(2, 7\)"):
+            direction_spectra(self.w, np.eye(7)[:2])
+
+    def test_nan_row(self):
+        dirs = np.eye(6)[:3].copy()
+        dirs[1, 2] = np.nan
+        with pytest.raises(ValueError, match="unit length, got .x. = nan"):
+            direction_spectra(self.w, dirs)
+
+
 class TestClusterSpectrum:
     def test_merges_close_eigenvalues(self):
         p = cluster_spectrum(np.linalg.eigvalsh(np.diag([1.0000001, 0.9999999, 4.0])))
@@ -189,6 +211,30 @@ class TestDirectionSampling:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 10, 16, 24])
     def test_structured_matches_the_loop(self, m):
         assert np.array_equal(structured_directions(m), structured_directions_by_loop(m))
+
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_kept_table_is_read_only(self, m):
+        table = _structured(m)
+        assert _structured(m) is table
+        for arr in table:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        assert np.array_equal(table.rows, structured_directions_by_loop(m))
+        # The gather reads the slices named by the axes and signs.
+        for flat, (a, b) in zip(
+            (table.ii, table.jj, table.ij, table.ji),
+            ((table.i, table.i), (table.j, table.j), (table.i, table.j), (table.j, table.i)),
+        ):
+            assert np.array_equal(flat, a * m + b)
+        assert np.array_equal(table.half_s[:, 0], 0.5 * table.s)
+
+    def test_returned_directions_are_fresh_and_writable(self):
+        first = structured_directions(4)
+        first[0, 0] = 7.0
+        for dirs in (structured_directions(4), unit_directions(4, 2, seed=0)[:16]):
+            assert dirs.flags.writeable
+            assert np.array_equal(dirs, structured_directions_by_loop(4))
 
     def test_structured_count_and_norms(self):
         for m in (3, 4, 6):
@@ -253,8 +299,7 @@ class TestBatchedSpectra:
         # product over all of it with x x^T; the two differ by roundoff in
         # the 1/sqrt2 weights.
         a = random_act(m, m).components
-        i, j, s = _structured_index(m)
-        got = _structured_jacobi(a.reshape(m, m * m, m), i, j, s)
+        got = _structured_jacobi(a.reshape(m, m * m, m), _structured(m), slice(None))
         expect = _jacobi_stack(a, structured_directions(m))
         assert max_abs(got - expect) <= 1e-15 * max_abs(a)
         # An axis row is the slice T_ii itself, with no roundoff at all.

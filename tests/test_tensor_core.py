@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from weylgeom import tiers
 from weylgeom.tensor_core import (
     CurvatureTensor,
     HermitianStructure,
@@ -29,6 +30,17 @@ class TestInnerProduct:
         assert g.dim == 4
         assert g.is_euclidean()
         assert_allclose(g.g, np.eye(4))
+
+    @pytest.mark.parametrize("spectral_first", [True, False])
+    def test_is_euclidean_reads_each_tolerance(self, spectral_first):
+        # max |g - I| is taken once per instance; each call compares it
+        # with its own tolerance, whatever was asked before.  1e-11 lies
+        # between the default tier and the spectral operations' tier.
+        g = InnerProduct(np.eye(5) + np.diag([0.0, 1e-11, 0.0, 0.0, 0.0]))
+        asks = [(tiers.SPECTRAL_FRAME, True), (tiers.EUCLIDEAN_FRAME, False)]
+        for tol, expect in asks if spectral_first else asks[::-1]:
+            assert g.is_euclidean(tol) is expect
+        assert g.is_euclidean() is False
 
     def test_pair_and_norm(self):
         g = InnerProduct(np.diag([4.0, 9.0]))
