@@ -195,14 +195,19 @@ class MetricChart:
             raise ValueError(f"metric is not symmetric at u={u}")
         return sym
 
-    def metric(self, u: np.ndarray) -> np.ndarray:
+    def _point(self, u: np.ndarray) -> np.ndarray:
+        """u as a float point; a shape other than (dim,) is a ValueError."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.dim,):
             raise ValueError(f"point shape {u.shape} does not match chart dimension {self.dim}")
+        return u
+
+    def metric(self, u: np.ndarray) -> np.ndarray:
+        u = self._point(u)
         return self._validated(u[None], self.callback_stack(self.metric_at, u[None], 2))[0]
 
     def require_interior(self, u: np.ndarray, extent: float) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
+        u = self._point(u)
         if not self.domain.contains(u, margin=extent):
             raise DomainError(
                 f"point {u} within {extent:.2e} of the domain boundary of chart "

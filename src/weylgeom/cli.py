@@ -143,10 +143,10 @@ def _as_int(value, key: str) -> int:
 def _as_positive_float(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
+    # Compared before float(), which raises on an integer beyond its range.
+    if not 0.0 < value <= sys.float_info.max:
         raise ConfigError(f"{key} must be positive and finite, got {value!r}")
-    return value
+    return float(value)
 
 
 def _parse_points(raw) -> tuple[tuple[float, ...], ...]:
@@ -158,7 +158,9 @@ def _parse_points(raw) -> tuple[tuple[float, ...], ...]:
             raise ConfigError(f"each point must be a non-empty coordinate list, got {entry!r}")
         coords = []
         for x in entry:
-            if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(float(x)):
+            # Compared before float(), which raises on an integer beyond its range.
+            finite = isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+            if isinstance(x, bool) or not finite:
                 raise ConfigError(f"point coordinate must be a finite number, got {x!r}")
             coords.append(float(x))
         if points and len(coords) != len(points[0]):
@@ -193,7 +195,7 @@ def _require_finite_coefficients(raw: dict, where: str) -> None:
     for key in sorted(set(raw) & _METRIC_KEYS):
         try:
             coefficients = np.asarray(raw[key], dtype=float)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{where} {key} must be numeric: {exc}") from exc
         if not np.all(np.isfinite(coefficients)):
             raise ConfigError(f"{where} {key} holds a non-finite coefficient")
@@ -295,7 +297,7 @@ def load_config(args: argparse.Namespace) -> AnalysisConfig:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer literal past int's digit limit
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config document must be a JSON object")

@@ -1,11 +1,12 @@
 """Jacobi operators, reduced spectra, and the direction constancy test.
 
 The Jacobi operator of a curvature tensor A in direction x is the self
-adjoint map defined by g(J(x) y, z) = A(y, x, x, z); it always kills x.
-The reduced operator restricts to the hyperplane orthogonal to x.  The
-constancy test samples unit directions and compares sorted reduced
-spectra; constant spectra over the sphere of directions is the defining
-property this package classifies against.
+adjoint map defined by g(J(x) y, z) = A(y, x, x, z); for an algebraic
+curvature tensor it kills x, J(x)x = 0, which the spectra here require.
+The reduced operator restricts to x^perp, so its spectrum is that of
+J(x) less one zero.  The constancy test samples unit directions and
+compares sorted reduced spectra; constant spectra over the sphere of
+directions is the defining property this package classifies against.
 
 All operations here require tensors already expressed in an orthonormal
 frame (metric = identity); convert with tensor_core.transform_tensor
@@ -105,40 +106,27 @@ def _jacobi_stack(comps: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return np.transpose(xx @ comps.reshape(m, m * m, m), (1, 2, 0))
 
 
-def _complement_bases(dirs: np.ndarray) -> np.ndarray:
-    """Householder complements of unit rows, shape (n, m, m - 1)."""
-    m = dirs.shape[1]
-    v = dirs.copy()
-    v[:, 0] += np.where(dirs[:, 0] >= 0, 1.0, -1.0)
-    scale = -2.0 / np.einsum("ni,ni->n", v, v)
-    h = (scale[:, None] * v)[:, :, None] * v[:, None, :]
-    h += np.eye(m)
-    return h[:, :, 1:]
+def _spectra(dirs: np.ndarray, jacobi) -> np.ndarray:
+    """Ascending reduced spectra of the unit rows of dirs, shape (n, m - 1);
+    jacobi(block) gives the Jacobi operators of the rows dirs[block].
 
-
-def _reduce(jac: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Jacobi operators jac of the unit rows of dirs compressed to their
-    Householder complements, (n, m-1, m-1)."""
+    With J(x)x = 0, each row is the spectrum of J(x) less its eigenvalue
+    of least modulus, the first on a tie.  Rows are solved in fixed
+    blocks, which bounds the memory of the stacked operators.
+    """
     nrm = np.linalg.norm(dirs, axis=1)
     # Written so that a NaN norm fails the gate.
     bad = np.flatnonzero(~(np.abs(nrm - 1.0) <= tiers.UNIT_DIRECTION))
     if bad.size:
         raise ValueError(f"direction must be unit length, got |x| = {float(nrm[bad[0]])!r}")
-    p = _complement_bases(dirs)
-    return np.swapaxes(p, 1, 2) @ jac @ p
-
-
-def _spectra(dirs: np.ndarray, jacobi) -> np.ndarray:
-    """Ascending reduced spectra of the unit rows of dirs, shape (n, m - 1);
-    jacobi(block) gives the Jacobi operators of the rows dirs[block].
-
-    Rows are solved in fixed blocks, which bounds the memory of the
-    stacked operators.
-    """
-    spectra = np.empty((dirs.shape[0], dirs.shape[1] - 1))
-    for start in range(0, dirs.shape[0], _BLOCK_ROWS):
+    n, m = dirs.shape
+    spectra = np.empty((n, m - 1))
+    for start in range(0, n, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        spectra[block] = _self_adjoint_eigvalsh(_reduce(jacobi(block), dirs[block]))
+        eig = _self_adjoint_eigvalsh(jacobi(block))
+        keep = np.ones(eig.shape, dtype=bool)
+        keep[np.arange(len(eig)), np.argmin(np.abs(eig), axis=1)] = False
+        spectra[block] = eig[keep].reshape(len(eig), m - 1)
     return spectra
 
 
@@ -146,9 +134,10 @@ def direction_spectra(a: CurvatureTensor, dirs: np.ndarray) -> np.ndarray:
     """Ascending reduced Jacobi spectra of the unit rows of dirs, one row
     each, shape (n, m - 1).
 
-    dirs must have shape (n, m).  A row that is not unit length (a NaN
-    row among them), or whose reduced operator is not self adjoint,
-    raises ValueError.
+    dirs must have shape (n, m), and the tensor must give J(x)x = 0, as
+    every algebraic curvature tensor does.  A row that is not unit
+    length (a NaN row among them), or whose Jacobi operator is not self
+    adjoint, raises ValueError.
     """
     _require_orthonormal(a)
     dirs = np.asarray(dirs, dtype=float)
@@ -315,9 +304,10 @@ def osserman_test(
     times max(1, max |eigenvalue|), the scale of cluster_spectrum.  Full
     sorted spectra are compared rather than clusters, so cluster
     boundary flips cannot mask genuine variation.  The spectra rows
-    follow unit_directions, structured directions first; a reduced
-    operator that is not self adjoint raises ValueError, and so does a
-    sample count below 2 or above tiers.MAX_SAMPLES.
+    follow unit_directions, structured directions first.  The tensor
+    must give J(x)x = 0, as every algebraic curvature tensor does; a
+    Jacobi operator that is not self adjoint raises ValueError, and so
+    does a sample count below 2 or above tiers.MAX_SAMPLES.
     """
     if not 2 <= samples <= tiers.MAX_SAMPLES:
         raise ValueError(f"samples must be 2 to {tiers.MAX_SAMPLES}, got {samples}")

@@ -112,10 +112,10 @@ SPECTRAL_FRAME = 1e-10
 # HermitianStructure.validate: each compatibility residual.
 HERMITIAN_INVARIANTS = 1e-10
 
-# | |x| - 1 | of a direction handed to the reduced Jacobi operator.
+# | |x| - 1 | of a direction whose Jacobi spectrum is read.
 UNIT_DIRECTION = 1e-8
 
-# Asymmetry of a reduced Jacobi operator before its eigensolve, relative
+# Asymmetry of a Jacobi operator before its eigensolve, relative
 # to max(1, max |J|).
 JACOBI_SELF_ADJOINT = 1e-8
 

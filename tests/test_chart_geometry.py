@@ -1,6 +1,7 @@
 """Coordinate charts: connection, curvature, derivatives, rescaling."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from weylgeom.chart_geometry import (
     riemann_with_derivative,
     second_bianchi_residual,
 )
+from weylgeom.classifier import classify_chart
 from weylgeom.curvature_algebra import complex_space_form_act, r0
 from weylgeom.models import (
     complex_hyperbolic_chart,
@@ -250,6 +252,24 @@ class TestMetricChart:
     def test_metric_validates_point_shape(self):
         with pytest.raises(ValueError):
             self.flat.metric(np.zeros(3))
+
+    @pytest.mark.parametrize("chart", [fubini_study_chart(2), hyperbolic_chart(4)], ids=["box", "ball"])
+    @pytest.mark.parametrize("shape", [(3,), (1, 4)])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            riemann_at,
+            riemann_with_derivative,
+            christoffel,
+            lambda chart, u: classify_chart(chart, u[None]),
+        ],
+        ids=["riemann_at", "riemann_with_derivative", "christoffel", "classify_chart"],
+    )
+    def test_point_of_the_wrong_shape_is_named(self, chart, shape, entry):
+        # Caught before numpy broadcasts it, or the callback is blamed.
+        message = f"point shape {shape} does not match chart dimension 4"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            entry(chart, np.full(shape, 0.05))
 
     def test_metric_rejects_asymmetric_callback(self):
         bad = MetricChart(

@@ -520,6 +520,29 @@ class TestFailureMapping:
         assert "non-finite" in err
 
     @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ('"points": [[0.1, BIG, 0.1]]', "point coordinate"),
+            ('"tolerances": {"fd_step": BIG}', "fd_step"),
+            ('"tolerances": {"spec_tol": BIG}', "spec_tol"),
+            ('"tolerances": {"cluster_tol": BIG}', "cluster_tol"),
+            ('"metric": {"constant": [[BIG, 0, 0], [0, 1, 0], [0, 0, 1]]}', "metric constant"),
+            ('"seed": ' + "1" * 4301, "config is not valid JSON"),
+        ],
+        ids=["point", "fd_step", "spec_tol", "cluster_tol", "metric", "past_int_digit_limit"],
+    )
+    def test_integer_beyond_the_float_range_is_config_error(self, tmp_path, capsys, entry, named):
+        # Exit 1 would read as a failed verify check.
+        text = entry.replace("BIG", "1" * 401)
+        if "metric" not in entry:
+            text = '"model": {"name": "sphere", "params": {"m": 3}}, ' + text
+        cfg = tmp_path / "c.json"
+        cfg.write_text("{%s}" % text)
+        code, _, err = run(capsys, "analyze", str(cfg))
+        assert code == 2
+        assert named in err
+
+    @pytest.mark.parametrize(
         "params",
         [
             '{"constant": [[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]}',
