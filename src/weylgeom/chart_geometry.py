@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import tiers
-from .tensor_core import CurvatureTensor, InnerProduct, max_abs
+from .tensor_core import CurvatureTensor, InnerProduct, max_abs, pair_table
 
 __all__ = [
     "DomainError",
@@ -413,10 +413,13 @@ def _curvature(us: np.ndarray, d2g: np.ndarray, first: np.ndarray, gamma: np.nda
 
 def _require_finite(us: np.ndarray, what: str, a: np.ndarray) -> None:
     """DomainError naming the first point of the stack us at which the
-    array a, with a leading axis over us, is not finite."""
+    array a, with a leading axis over us, is not finite.  NaN and inf
+    carry through max_abs, so one reduction clears a finite array and
+    only a failing one is scanned point by point."""
+    if np.isfinite(max_abs(a)):
+        return
     finite = np.isfinite(a).reshape(len(us), -1).all(axis=1)
-    if not finite.all():
-        raise DomainError(f"{what} is not finite at u={us[int(finite.argmin())]}")
+    raise DomainError(f"{what} is not finite at u={us[int(finite.argmin())]}")
 
 
 def _require_distinct(us: np.ndarray, points: np.ndarray, reach: float) -> None:
@@ -444,17 +447,19 @@ def riemann_at(chart: MetricChart, u: np.ndarray) -> tuple[CurvatureTensor, Inne
 def riemann_with_derivative(
     chart: MetricChart, u: np.ndarray
 ) -> tuple[CurvatureTensor, np.ndarray, np.ndarray]:
-    """riemann_at's tensor, the covariant derivative of the curvature,
-    components [i, j, k, l, n], and the Christoffel symbols
-    Gamma[k, i, j] at u, from one pass.  A nabla R axis whose
-    differences overflow is a DomainError.
+    """riemann_at's tensor, the covariant derivative of the curvature
+    and the Christoffel symbols Gamma[k, i, j] at u, from one pass.  A
+    nabla R axis whose differences overflow is a DomainError.  nabla R
+    is packed: a C-contiguous (m, P, P) array, P = m(m - 1)/2, of
+    nabla_n R_ijkl at [n, p, q] for the pairs p = (i < j), q = (k < l)
+    in the triu order of pair_table; the rest is pair antisymmetry.
 
     nabla_n R = d_n R minus one correction Gamma^s_np R_..s.. per slot p.
     With P = _symmetrize_curvature and L from _curvature, R = 2 P(L), and
     P commutes with d_n.  R lies in P's class, so the four corrections
     sum to 4 P(C), C[i, jkl] = Gamma^s_ni R_sjkl: slot j follows from i
     by pair antisymmetry, k and l by pair interchange.  Each axis n is
-    one product and one projection, 2 P(d_n L - 2 C).
+    one product and one projection, 2 P(d_n L - 2 C), packed.
 
     d_n L is not a difference of L but the product rule at the point,
 
@@ -503,14 +508,15 @@ def riemann_with_derivative(
         if lo == 0:
             # Once the first block's jet, a point larger than the
             # others, is gone.
-            out = np.empty((m,) * 5)
+            pairs = m * (m - 1) // 2
+            out = np.empty((m, pairs, pairs))
         d_christoffel = _christoffel_derivative(ginv, dg[axes], d2g_c[axes], gamma)
         half = _half_nabla_r(axes, rc, first, gamma, d_d2g, *d_christoffel)
         del d_d2g
         np.multiply(half, 2.0, out=out[axes])
         del half
         _require_finite(u[None], "nabla R", out[axes][None])
-    return CurvatureTensor(rc, InnerProduct(g)), np.moveaxis(out, 0, -1), gamma
+    return CurvatureTensor(rc, InnerProduct(g)), out, gamma
 
 
 def _christoffel_derivative(
@@ -540,8 +546,8 @@ def _half_nabla_r(
     d_first: np.ndarray,
     d_gamma: np.ndarray,
 ) -> np.ndarray:
-    """nabla_n R / 2 = P(d_n L - 2 C[n]) for the derivative axes n in
-    `axes` (see riemann_with_derivative), from the centre's R and
+    """nabla_n R / 2 = P(d_n L - 2 C[n]), packed, for the derivative axes
+    n in `axes` (see riemann_with_derivative), from the centre's R and
     Christoffel symbols of both kinds, the central differences of d2g
     along those axes, one flat row per axis, and the derivatives of the
     Christoffel symbols along them from _christoffel_derivative."""
@@ -556,16 +562,30 @@ def _half_nabla_r(
     d -= np.moveaxis((left @ right).reshape(d.shape), 2, 4)
     # C[n, i, jkl] = Gamma^s_ni R_sjkl.
     d -= (2.0 * np.transpose(gamma[:, axes], (1, 2, 0)) @ rc.reshape(m, -1)).reshape(d.shape)
-    return _symmetrize_curvature(d)
+    return _packed_curvature(d)
+
+
+def _packed_curvature(c: np.ndarray) -> np.ndarray:
+    """_symmetrize_curvature of a stack c[n, i, j, k, l] at the pairs
+    p = (i < j), q = (k < l) of pair_table, as [n, p, q]: its operations
+    on the same operands, staged on the pairs, so bit for bit."""
+    i, j = pair_table(c.shape[-1]).pairs
+    c = 0.5 * (c[:, i, j] - c[:, j, i])
+    c = 0.5 * (c[..., i, j] - c[..., j, i])
+    return 0.5 * (c + np.swapaxes(c, -2, -1))
 
 
 def cyclic_bianchi_residual(nabla_r: np.ndarray) -> float:
     """Max-norm of the cyclic sum over the derivative slot and the first
-    two tensor slots, one m^4 slab per derivative index; an identity
-    (= 0) for any Levi-Civita curvature."""
-    d = np.moveaxis(nabla_r, -1, 0)  # D[a, b, c] + D[b, c, a] + D[c, a, b]
-    slabs = [max_abs(d[a] + d[:, :, a] + np.swapaxes(d[:, a], 0, 1)) for a in range(len(d))]
-    return max_abs(np.array(slabs))
+    pair of a packed nabla R; an identity (= 0) for any Levi-Civita
+    curvature.  The sum is totally antisymmetric in its three indices,
+    so it is read over the triples a < b < c of pair_table alone (none
+    at m = 2): nabla_a R_(bc)q - nabla_b R_(ac)q + nabla_c R_(ab)q."""
+    a, b, c, bc, ac, ab = pair_table(len(nabla_r)).triples
+    s = nabla_r[a, bc]
+    s -= nabla_r[b, ac]
+    s += nabla_r[c, ab]
+    return max_abs(s)
 
 
 def second_bianchi_residual(chart: MetricChart, u: np.ndarray) -> float:

@@ -51,6 +51,7 @@ from .tensor_core import (
     InnerProduct,
     max_abs,
     orthonormal_frame,
+    pair_table,
     transform_tensor,
 )
 
@@ -178,7 +179,8 @@ def _recover_phi_model(
     m = c.shape[0]
     if m % 2 != 0:
         raise ValueError(f"even dimension required, got m={m}")
-    i, j = np.triu_indices(m, 1)
+    # B2 over the pairs i < j, in the layout of the packed nabla R.
+    i, j = pair_table(m).pairs
     b2 = c[i, j][:, i, j]
     # For B = a_phi(Phi), B2^2 - I = ((m + 1)^2 - 1) v v^T: B2's column of
     # largest norm leans most on v, and each step v <- (B2^2 - I) v strips

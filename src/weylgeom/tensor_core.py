@@ -16,7 +16,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +34,7 @@ __all__ = [
     "self_adjoint_residual",
     "skew_adjoint_residual",
     "max_abs",
+    "pair_table",
 ]
 
 
@@ -51,6 +54,33 @@ def max_abs(a) -> float:
     # Two reductions in place of forming |a|.  np.maximum keeps a NaN, and
     # adding +0.0 turns the -0.0 of an all-(-0.0) array into +0.0.
     return float(np.maximum(a.max(), -a.min())) + 0.0
+
+
+class _PairTable(NamedTuple):
+    """The pairs i < j of one dimension, in np.triu_indices order: the
+    layout T[(ij), (kl)] = T_ijkl of a tensor acting on 2-forms.
+    pairs[:, p] is (i, j) of pair p; ids[i, j] = ids[j, i] = p, and -1
+    on the diagonal; triples[:, t] is (a, b, c) and the ids of (b, c),
+    (a, c) and (a, b) for each triple a < b < c."""
+
+    pairs: np.ndarray
+    ids: np.ndarray
+    triples: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def pair_table(m: int) -> _PairTable:
+    """The read-only _PairTable of dimension m, built once."""
+    pairs = np.array(np.triu_indices(m, 1))
+    i, j = pairs
+    ids = np.full((m, m), -1)
+    ids[i, j] = ids[j, i] = np.arange(i.size)
+    axes = np.arange(m)
+    a, b, c = np.nonzero((axes[:, None, None] < axes[:, None]) & (axes[:, None] < axes))
+    table = _PairTable(pairs, ids, np.array([a, b, c, ids[b, c], ids[a, c], ids[a, b]]))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)

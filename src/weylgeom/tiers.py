@@ -87,8 +87,9 @@ VERIFY_RECONSTRUCTION = 1e-10
 # --------------------------------------------------------------------------
 # Input guards.
 
-# Largest model dimension the command line accepts, an integer: the m^5
-# nabla R array alone is over 268 MB above it.
+# Largest model dimension the command line accepts, an integer: at
+# m = 32 the packed nabla R array, m P^2 floats with P = m(m - 1)/2, is
+# about 63 MB (268 MB in the m^5 layout).
 MAX_DIMENSION = 32
 
 # Largest random direction count that osserman_test, and so the command

@@ -18,6 +18,8 @@ from weylgeom.chart_geometry import (
     _christoffel_from,
     _curvature,
     _metric_jet,
+    _packed_curvature,
+    _symmetrize_curvature,
     christoffel,
     conformal_rescale,
     cyclic_bianchi_residual,
@@ -37,7 +39,13 @@ from weylgeom.models import (
     sphere_chart,
     standard_phi,
 )
-from weylgeom.tensor_core import InnerProduct, max_abs, orthonormal_frame, transform_tensor
+from weylgeom.tensor_core import (
+    InnerProduct,
+    max_abs,
+    orthonormal_frame,
+    pair_table,
+    transform_tensor,
+)
 
 
 CHART_FAMILIES = {
@@ -154,6 +162,27 @@ def jet_partial_r(chart, u):
     d_l = 0.5 * d_s - np.einsum("nsil,sjk->nijkl", d_first, gamma) - np.einsum(
         "sil,nsjk->nijkl", first, d_gamma)
     return d_l - np.swapaxes(d_l, 1, 2)
+
+
+def pack(full):
+    """nabla R [i, j, k, l, n] in riemann_with_derivative's packed layout
+    [n, p, q] over the pairs p = (i < j), q = (k < l)."""
+    i, j = pair_table(full.shape[0]).pairs
+    return np.moveaxis(full, -1, 0)[:, i, j][:, :, i, j]
+
+
+def unpack(packed):
+    """A packed nabla R [n, p, q] as [i, j, k, l, n]: each entry with the
+    sign of its pairs' order, and zero where a pair repeats an index."""
+    m = len(packed)
+    ids = pair_table(m).ids
+    sign = np.sign(np.arange(m) - np.arange(m)[:, None])
+    signs = np.multiply.outer(sign, sign)
+    full = np.where(signs == 0, 0.0, signs * packed[:, ids][:, :, :, ids])
+    return np.moveaxis(full, 0, -1)
+
+
+EPS = np.finfo(float).eps
 
 
 def einsum_cyclic_residual(nabla_r):
@@ -707,16 +736,19 @@ class TestCovariantDerivatives:
         assert second_bianchi_residual(fd, np.full(3, 0.05)) <= 1e-4
 
     def test_corrupted_gradient_fails_cyclic_identity(self):
-        nr = riemann_with_derivative(sphere_chart(3, 1.0), np.full(3, 0.05))[1].copy()
-        nr[0, 0, 0, 0, 1] += 0.1
+        # nabla_2 R over the pair (0, 1) twice, which the triple (0, 1, 2)
+        # reads.
+        nr = riemann_with_derivative(sphere_chart(3, 1.0), np.full(3, 0.05))[1]
+        nr[2, 0, 0] += 0.1
         assert cyclic_bianchi_residual(nr) >= 0.09
 
     @pytest.mark.parametrize("analytic", [True, False])
     def test_matches_einsum_reference_layout(self, analytic):
         # nabla_n R_ijkl = d_n R_ijkl - Gamma^s_ni R_sjkl - Gamma^s_nj R_iskl
-        #                 - Gamma^s_nk R_ijsl - Gamma^s_nl R_ijks, stored [i, j, k, l, n],
-        # with d_n R by the product rule on the same jet as the pass: 2e-14
-        # analytic and 9e-16 finite difference measured.
+        #                 - Gamma^s_nk R_ijsl - Gamma^s_nl R_ijks over all
+        # [i, j, k, l, n], against the pass unpacked, with d_n R by the
+        # product rule on the same jet as the pass: 2e-14 analytic and
+        # 9e-16 finite difference measured.
         chart = perturbed_flat_chart(4, 0.1, seed=3)
         if not analytic:
             chart = dataclasses.replace(chart, d_metric=None, d2_metric=None)
@@ -730,8 +762,8 @@ class TestCovariantDerivatives:
             + np.einsum("snl,ijks->ijkln", gamma, rc)
         )
         got = riemann_with_derivative(chart, u)[1]
-        assert got.shape == (4,) * 5
-        assert max_abs(got - expect) <= 1e-12 * max(1.0, max_abs(expect))
+        assert got.shape == (4, 6, 6)
+        assert max_abs(unpack(got) - expect) <= 1e-12 * max(1.0, max_abs(expect))
 
     def test_fd_pass_matches_differenced_curvature(self):
         # Differences of R along the nabla R stencil instead of the product
@@ -740,10 +772,10 @@ class TestCovariantDerivatives:
         # of either from the analytic chart's nabla R.
         chart = perturbed_flat_chart(4, 0.1, seed=3)
         u = np.array([0.05, -0.1, 0.08, 0.02])
-        analytic = riemann_with_derivative(chart, u)[1]
+        analytic = unpack(riemann_with_derivative(chart, u)[1])
         chart = dataclasses.replace(chart, d_metric=None, d2_metric=None)
         expect = per_slot_nabla_r(chart, u)[0]
-        got = riemann_with_derivative(chart, u)[1]
+        got = unpack(riemann_with_derivative(chart, u)[1])
         scale = max(1.0, max_abs(expect))
         assert max_abs(got - expect) <= 3e-11 * scale
         assert max_abs(got - analytic) <= 1e-6 * scale
@@ -751,11 +783,14 @@ class TestCovariantDerivatives:
     @pytest.mark.parametrize("analytic", [True, False])
     def test_derivative_has_exact_curvature_symmetries(self, analytic):
         # Each derivative axis is projected onto the curvature symmetry
-        # class as a whole, so its symmetries hold bit for bit.
+        # class as a whole, so each packed axis is symmetric bit for bit.
         chart = perturbed_flat_chart(6, 0.1, seed=3)
         if not analytic:
             chart = dataclasses.replace(chart, d_metric=None, d2_metric=None)
-        nr = riemann_with_derivative(chart, np.linspace(-0.1, 0.1, 6))[1]
+        packed = riemann_with_derivative(chart, np.linspace(-0.1, 0.1, 6))[1]
+        assert np.array_equal(packed, np.swapaxes(packed, 1, 2))
+        nr = unpack(packed)
+        assert np.array_equal(pack(nr), packed)
         assert max_abs(nr) > 1e-3
         assert np.array_equal(nr, -np.swapaxes(nr, 0, 1))
         assert np.array_equal(nr, -np.swapaxes(nr, 2, 3))
@@ -772,34 +807,69 @@ class TestCovariantDerivatives:
         assert chart.stacked and chart.analytic and chart.dim == 16
         u = np.full(16, 0.05)
         expect, r = per_slot_nabla_r(chart, u)
-        got = riemann_with_derivative(chart, u)[1]
+        got = unpack(riemann_with_derivative(chart, u)[1])
         bound = 1e-15 * max(max_abs(expect), 3.0 / chart.step3 * max_abs(r))
         assert max_abs(got - expect) <= bound
 
     @pytest.mark.parametrize("m", [2, 4, 7])
     def test_cyclic_residual_matches_einsum_reference(self, m):
         rng = np.random.default_rng(m)
-        t = rng.normal(size=(m,) * 5)
-        assert cyclic_bianchi_residual(t) == einsum_cyclic_residual(t)
-        # The nabla R layout riemann_with_derivative returns: derivative
-        # first in memory, an [i, j, k, l, n] view.
-        view = np.moveaxis(np.ascontiguousarray(np.moveaxis(t, -1, 0)), 0, -1)
-        assert cyclic_bianchi_residual(view) == einsum_cyclic_residual(t)
+        pairs = m * (m - 1) // 2
+        t = rng.normal(size=(m, pairs, pairs))
+
+        def residual(nr):
+            # The packed sum adds its three terms in one cyclic order, the
+            # reference takes the max over all three orders, and two
+            # orders differ by a few eps max |nr|: 2.38 eps measured over
+            # 840 random packed tensors at m = 2 to 7 (seeds 0 to 139),
+            # and 0 on the chart's nabla R; the bound is 5 eps.
+            got = cyclic_bianchi_residual(nr)
+            assert abs(got - einsum_cyclic_residual(unpack(nr))) <= 5 * EPS * max_abs(nr)
+            return got
+
+        residual(t)
         chart = perturbed_flat_chart(m, 0.1, seed=3)
         nr = riemann_with_derivative(chart, np.full(m, 0.05))[1]
-        assert cyclic_bianchi_residual(nr) == einsum_cyclic_residual(nr) <= 1e-9
-        nr = nr.copy()
-        nr[0, 1, 0, 1, m - 1] += 0.1
-        assert cyclic_bianchi_residual(nr) == einsum_cyclic_residual(nr) >= 0.09
-        nr[1, 0, 1, 0, 0] = np.nan
+        assert residual(nr) <= 1e-9
+        if m == 2:
+            return  # no triple of distinct indices: see test_dimension_two_has_no_triple
+        # nabla_(m - 1) R over the pair (0, 1) twice, in the triple
+        # (0, 1, m - 1).
+        nr[m - 1, 0, 0] += 0.1
+        assert residual(nr) >= 0.09
+        nr[m - 1, 0, 0] = np.nan
         assert np.isnan(cyclic_bianchi_residual(nr))
 
+    def test_dimension_two_has_no_triple(self):
+        # Every cyclic sum repeats an index, so none is read: exactly 0,
+        # whatever the one packed entry of each axis holds.
+        nr = riemann_with_derivative(sphere_chart(2, 1.0), np.full(2, 0.05))[1]
+        assert nr.shape == (2, 1, 1)
+        assert cyclic_bianchi_residual(nr) == 0.0
+        assert cyclic_bianchi_residual(nr + 0.1) == 0.0
+
+    @pytest.mark.parametrize("m", [4, 7, 16])
+    def test_packed_projection_is_the_full_one_bit_for_bit(self, m):
+        i, j = pair_table(m).pairs
+        x = np.random.default_rng(m).normal(size=(3,) + (m,) * 4)
+        expect = _symmetrize_curvature(x)[:, i, j][:, :, i, j]
+        assert np.array_equal(_packed_curvature(x), expect)
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_nabla_r_is_packed_and_c_contiguous(self, analytic):
+        chart = fubini_study_chart(3)
+        if not analytic:
+            chart = dataclasses.replace(chart, d_metric=None, d2_metric=None)
+        nr = riemann_with_derivative(chart, np.full(6, 0.05))[1]
+        assert nr.shape == (6, 15, 15)
+        assert nr.flags.c_contiguous
+
     def test_second_bianchi_memory_peak(self):
-        # At m = 16 nabla R is one 8.4 MB array; the correction and the
-        # cyclic sum work on m^4 slabs of it (12.3 MB peak measured, 25.2
-        # MB with whole m^5 temporaries).
+        # At m = 16 the packed nabla R is 1.8 MB, and the cyclic sum over
+        # its 560 triples holds two (560, 120) gathers: 5.73 MB peak
+        # measured, the pass's own.  The bound leaves 5 %.
         peak = traced_peak(second_bianchi_residual, fubini_study_chart(8), np.full(16, 0.05))
-        assert peak <= 16e6
+        assert peak <= 6e6
 
 
 def rescaled_fubini_study_chart(m):
@@ -927,7 +997,7 @@ class TestCurvatureCore:
                 assert max_abs(expect) > 1e-3
                 assert max_abs(got.reshape(expect.shape) - expect) <= 1e-10 * max_abs(expect)
             expect = per_slot_nabla_r(chart, u)[0]
-            got = riemann_with_derivative(chart, u)[1]
+            got = unpack(riemann_with_derivative(chart, u)[1])
             assert max_abs(got - expect) <= 1e-10 * max_abs(expect)
 
     def test_bianchi_oracle_sees_a_jet_that_is_no_metric_jet(self):
@@ -950,12 +1020,13 @@ class TestCurvatureCore:
             assert second_bianchi_residual(wrong, u) >= 1e-5
 
     def test_riemann_with_derivative_memory_peak(self):
-        # At m = 16 nabla R is one 8.4 MB array, allocated once the first
-        # block's jet, which holds the point too, is gone; beside it the
-        # point's R and d2g and one block's d2g (12.28 MB peak measured,
-        # 12.47 MB differencing the Christoffel symbols along the stencil).
+        # At m = 16 the packed nabla R is m P^2 = 1.8 MB, allocated once the
+        # first block's jet, which holds the point too, is gone (0.42 MB
+        # more when allocated before it); the rest is that jet and one
+        # axis's m^4 temporaries.  5.73 MB peak measured; the bound
+        # leaves 5 %.
         peak = traced_peak(riemann_with_derivative, fubini_study_chart(8), np.full(16, 0.05))
-        assert peak <= 12.5e6
+        assert peak <= 6e6
 
     def test_riemann_at_memory_peak(self):
         # At m = 16 the jet, L and the projection hold a few m^4 arrays

@@ -407,12 +407,14 @@ class TestVerify:
             assert not trace["passed"]
 
     def test_bianchi_check_fires_on_a_corrupted_derivative(self, capsys, monkeypatch):
-        # One entry of nabla R off by 0.1 breaks the cyclic sum at every point.
+        # One entry of nabla R off by 0.1 breaks the cyclic sum at every
+        # point: nabla_2 R over the pair (0, 1) twice, which the triple
+        # (0, 1, 2) reads.
         inner = chart_geometry.riemann_with_derivative
 
         def corrupted(chart, u):
             r, nabla_r, gamma = inner(chart, u)
-            nabla_r[0, 0, 0, 0, 1] += 0.1
+            nabla_r[2, 0, 0] += 0.1
             return r, nabla_r, gamma
 
         monkeypatch.setattr(cli, "riemann_with_derivative", corrupted)

@@ -1,4 +1,6 @@
-"""Value types, symmetry residuals, and frame transforms."""
+"""Value types, symmetry residuals, frame transforms, and the pair table."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from weylgeom.tensor_core import (
     InnerProduct,
     max_abs,
     orthonormal_frame,
+    pair_table,
     symmetry_residual,
     transform_tensor,
 )
@@ -22,6 +25,26 @@ def random_spd(m, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, m))
     return a @ a.T + m * np.eye(m)
+
+
+class TestPairTable:
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_matches_the_loops_and_is_read_only(self, m):
+        table = pair_table(m)
+        assert pair_table(m) is table
+        for arr in table:
+            assert not arr.flags.writeable
+        pairs = [list(p) for p in itertools.combinations(range(m), 2)]
+        assert table.pairs.T.tolist() == pairs
+        for p, (i, j) in enumerate(pairs):
+            assert table.ids[i, j] == table.ids[j, i] == p
+        assert np.array_equal(np.diag(table.ids), np.full(m, -1))
+        expect = [
+            [a, b, c, pairs.index([b, c]), pairs.index([a, c]), pairs.index([a, b])]
+            for a, b, c in itertools.combinations(range(m), 3)
+        ]
+        assert table.triples.shape == (6, len(expect))
+        assert table.triples.T.tolist() == expect
 
 
 class TestInnerProduct:
